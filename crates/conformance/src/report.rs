@@ -203,15 +203,32 @@ impl ConformanceReport {
             }
         }
 
-        out.push_str(&format!(
-            "\n{}\n",
-            if self.passed() {
-                "All claims within tolerance."
-            } else {
-                "CONFORMANCE FAILURES — see blocks above."
-            }
-        ));
+        if self.passed() {
+            out.push_str("\nAll claims within tolerance.\n");
+        } else {
+            out.push_str(&format!(
+                "\nCONFORMANCE FAILURES: {} — see blocks above.\n",
+                self.failure_ids().join(", ")
+            ));
+        }
         out
+    }
+
+    /// What failed, for the report's last line: each failing claim id in
+    /// registry order, then `golden:<experiment>` for each drifted
+    /// snapshot.
+    fn failure_ids(&self) -> Vec<String> {
+        let claims = self
+            .outcomes
+            .iter()
+            .filter(|o| !o.passed)
+            .map(|o| o.id.to_string());
+        let golden = self
+            .golden
+            .iter()
+            .filter(|g| !g.passed)
+            .map(|g| format!("golden:{}", g.experiment));
+        claims.chain(golden).collect()
     }
 
     /// The machine-readable report the binary writes under `--json`.
@@ -348,7 +365,10 @@ mod tests {
         assert!(!report.passed());
         let text = report.render_text();
         assert!(text.contains("FAIL fig6.undefended-mcc — Fig. 6"));
-        assert!(text.contains("CONFORMANCE FAILURES"));
+        assert!(
+            text.ends_with("\nCONFORMANCE FAILURES: fig6.undefended-mcc — see blocks above.\n"),
+            "the last line must name the failing claim: {text}"
+        );
         let json = report.to_json();
         assert_eq!(json.get("passed"), Some(&Value::Bool(false)));
     }
@@ -371,6 +391,10 @@ mod tests {
         let text = report.render_text();
         assert!(text.contains("GOLDEN DRIFT fig6_chpr — Fig. 6"));
         assert!(text.contains("fig6.undefended-mcc"));
+        assert!(
+            text.ends_with("\nCONFORMANCE FAILURES: golden:fig6_chpr — see blocks above.\n"),
+            "the last line must name the drifted snapshot: {text}"
+        );
     }
 
     #[test]

@@ -16,7 +16,9 @@
 //!   Kleiminger et al. (BuildSys'13).
 //!
 //! Both implement [`OccupancyDetector`], the interface the defense
-//! evaluations attack through.
+//! evaluations attack through. [`sweep_confusions`] scores a whole grid
+//! of threshold configurations against one labelled trace from shared
+//! window summaries — what an attacker tuning the detector needs.
 //!
 //! # Examples
 //!
@@ -41,4 +43,4 @@ pub use detector::OccupancyDetector;
 pub use eval::{evaluate, Evaluation};
 pub use hmm::{HmmDetector, WindowLane};
 pub use supervised::LogisticDetector;
-pub use threshold::ThresholdDetector;
+pub use threshold::{sweep_confusions, ThresholdDetector};

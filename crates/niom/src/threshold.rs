@@ -2,7 +2,10 @@
 
 use crate::detector::OccupancyDetector;
 use serde::{Deserialize, Serialize};
-use timeseries::{LabelSeries, PowerTrace, Resolution, Summary, Timestamp, WindowStats};
+use timeseries::labels::Confusion;
+use timeseries::{
+    LabelSeries, PowerTrace, Resolution, Summary, Timestamp, TraceError, WindowStats,
+};
 
 /// The statistical threshold detector.
 ///
@@ -76,18 +79,37 @@ impl ThresholdDetector {
     /// exposed so incremental callers that already hold window summaries
     /// reuse the exact batch arithmetic.
     pub fn baseline_from_window_means(&self, means_in_order: &[f64]) -> f64 {
-        if means_in_order.is_empty() {
-            return 0.0;
-        }
         let mut means = means_in_order.to_vec();
         means.sort_by(|a, b| a.total_cmp(b));
-        let rank = (self.baseline_percentile / 100.0 * (means.len() - 1) as f64).round() as usize;
-        means[rank.min(means.len() - 1)]
+        self.baseline_from_sorted_means(&means)
     }
 
-    fn classify_window(&self, summary: &Summary, baseline: f64) -> bool {
-        summary.mean > baseline + self.mean_margin_watts
-            || summary.stddev() > self.sigma_threshold_watts
+    /// The configured percentile of window means already sorted ascending.
+    fn baseline_from_sorted_means(&self, sorted: &[f64]) -> f64 {
+        if sorted.is_empty() {
+            return 0.0;
+        }
+        let rank = (self.baseline_percentile / 100.0 * (sorted.len() - 1) as f64).round() as usize;
+        sorted[rank.min(sorted.len() - 1)]
+    }
+
+    fn classify_window(&self, mean: f64, sigma: f64, baseline: f64) -> bool {
+        mean > baseline + self.mean_margin_watts || sigma > self.sigma_threshold_watts
+    }
+
+    /// The threshold rule: classifies each window's `(mean, σ)` against
+    /// `baseline` and run-length smooths the result into `flags`. Both
+    /// [`detect_from_windows`](Self::detect_from_windows) and
+    /// [`sweep_confusions`] go through here, so they cannot drift apart.
+    fn window_flags(
+        &self,
+        baseline: f64,
+        windows: impl Iterator<Item = (f64, f64)>,
+        flags: &mut Vec<bool>,
+    ) {
+        flags.clear();
+        flags.extend(windows.map(|(mean, sigma)| self.classify_window(mean, sigma, baseline)));
+        smooth_runs_in_place(flags, self.min_run_windows);
     }
 
     /// Runs the full detection pipeline over precomputed window summaries.
@@ -105,17 +127,17 @@ impl ThresholdDetector {
         len: usize,
         windows: &[(usize, Summary)],
     ) -> LabelSeries {
-        let means: Vec<f64> = windows.iter().map(|(_, s)| s.mean).collect();
-        let baseline = self.baseline_from_window_means(&means);
+        let mut means: Vec<f64> = windows.iter().map(|(_, s)| s.mean).collect();
+        means.sort_by(|a, b| a.total_cmp(b));
+        let baseline = self.baseline_from_sorted_means(&means);
+        let mut flags = Vec::with_capacity(windows.len());
+        self.window_flags(
+            baseline,
+            windows.iter().map(|(_, s)| (s.mean, s.stddev())),
+            &mut flags,
+        );
         let mut labels = vec![false; len];
-        let mut window_flags = Vec::new();
-        for (w_start, summary) in windows {
-            window_flags.push((*w_start, self.classify_window(summary, baseline)));
-        }
-        // Smooth at window granularity.
-        let flags: Vec<bool> = window_flags.iter().map(|&(_, f)| f).collect();
-        let smoothed = smooth_bool_runs(&flags, self.min_run_windows);
-        for (&(w_start, _), &flag) in window_flags.iter().zip(&smoothed) {
+        for (&(w_start, _), &flag) in windows.iter().zip(&flags) {
             let end = (w_start + self.window).min(labels.len());
             labels[w_start..end].fill(flag);
         }
@@ -151,41 +173,180 @@ pub(crate) fn apply_night_prior(
     to: u8,
 ) {
     for (i, slot) in labels.iter_mut().enumerate() {
-        let at = start + i as u64 * resolution.as_secs() as u64;
-        let hour = at.hour_of_day() as u8;
-        let in_night = if from <= to {
-            (from..to).contains(&hour)
-        } else {
-            hour >= from || hour < to
-        };
-        if in_night {
+        if in_night(start, resolution, i, from, to) {
             *slot = true;
         }
     }
 }
 
-/// Run-length smoothing over a plain bool slice (interior runs shorter than
-/// `min_run` are flipped).
-fn smooth_bool_runs(flags: &[bool], min_run: usize) -> Vec<bool> {
-    if min_run <= 1 || flags.is_empty() {
-        return flags.to_vec();
+/// Whether sample `i` of a grid starting at `start` falls in the wrapping
+/// night interval `[from, to)` hours.
+fn in_night(start: Timestamp, resolution: Resolution, i: usize, from: u8, to: u8) -> bool {
+    let at = start + i as u64 * resolution.as_secs() as u64;
+    let hour = at.hour_of_day() as u8;
+    if from <= to {
+        (from..to).contains(&hour)
+    } else {
+        hour >= from || hour < to
     }
-    let mut out = flags.to_vec();
+}
+
+/// Run-length smoothing over a plain bool slice, in place (interior runs
+/// shorter than `min_run` are flipped).
+fn smooth_runs_in_place(flags: &mut [bool], min_run: usize) {
+    if min_run <= 1 {
+        return;
+    }
     let mut i = 0;
-    while i < out.len() {
-        let val = out[i];
+    while i < flags.len() {
+        let val = flags[i];
         let mut j = i;
-        while j < out.len() && out[j] == val {
+        while j < flags.len() && flags[j] == val {
             j += 1;
         }
-        if j - i < min_run && i != 0 && j != out.len() {
-            for slot in &mut out[i..j] {
-                *slot = !val;
-            }
+        if j - i < min_run && i != 0 && j != flags.len() {
+            flags[i..j].fill(!val);
         }
         i = j;
     }
-    out
+}
+
+/// One window length's summaries of a trace, shared by every candidate
+/// with that window.
+struct WindowTable {
+    window: usize,
+    /// `(mean, σ)` per window, in trace order.
+    summaries: Vec<(f64, f64)>,
+    /// The window means sorted ascending, for every baseline percentile.
+    sorted_means: Vec<f64>,
+}
+
+/// Per window of one window length, the samples in each
+/// `(inside night prior, truly occupied)` cell:
+/// `[prior ∧ truth, prior ∧ ¬truth, ¬prior ∧ truth, ¬prior ∧ ¬truth]`.
+struct CellTable {
+    window: usize,
+    night_prior: Option<(u8, u8)>,
+    cells: Vec<[u64; 4]>,
+}
+
+/// Scores every threshold candidate in `grid` against one labelled trace:
+/// entry `k` equals `truth.confusion(&grid[k].detect(meter))`, bit for bit.
+///
+/// Work is shared across candidates. Window summaries and their sorted
+/// means are computed once per window length; the night-prior × truth
+/// sample counts once per (window length, prior). A candidate then costs
+/// one classify-and-smooth pass over its windows and a sum of each
+/// window's counts — no per-sample labels. This is what lets an adaptive
+/// attacker score a large grid on every training trace it sees.
+///
+/// # Errors
+///
+/// Returns the alignment error `truth.confusion` would if `truth` and
+/// `meter` differ in geometry.
+///
+/// # Panics
+///
+/// Panics if any candidate's window is zero, as `detect` does.
+pub fn sweep_confusions(
+    grid: &[ThresholdDetector],
+    meter: &PowerTrace,
+    truth: &LabelSeries,
+) -> Result<Vec<Confusion>, TraceError> {
+    let _span = obs::span("niom.threshold.sweep");
+    obs::counter_add("niom.threshold.sweep.candidates", grid.len() as u64);
+    // The geometry every candidate's `detect` output would have.
+    truth.check_aligned(&LabelSeries::new(
+        meter.start(),
+        meter.resolution(),
+        vec![false; meter.len()],
+    ))?;
+    let mut tables: Vec<WindowTable> = Vec::new();
+    let mut cell_tables: Vec<CellTable> = Vec::new();
+    let mut flags = Vec::new();
+    let confusions = grid
+        .iter()
+        .map(|d| {
+            let t = match tables.iter().position(|t| t.window == d.window) {
+                Some(t) => t,
+                None => {
+                    tables.push(window_table(meter, d.window));
+                    tables.len() - 1
+                }
+            };
+            let c = match cell_tables
+                .iter()
+                .position(|c| c.window == d.window && c.night_prior == d.night_prior)
+            {
+                Some(c) => c,
+                None => {
+                    cell_tables.push(cell_table(meter, truth, d.window, d.night_prior));
+                    cell_tables.len() - 1
+                }
+            };
+            let table = &tables[t];
+            let baseline = d.baseline_from_sorted_means(&table.sorted_means);
+            d.window_flags(baseline, table.summaries.iter().copied(), &mut flags);
+            let mut confusion = Confusion::default();
+            for (&flag, &[night_tp, night_fp, day_truth, day_empty]) in
+                flags.iter().zip(&cell_tables[c].cells)
+            {
+                confusion.tp += night_tp;
+                confusion.fp += night_fp;
+                if flag {
+                    confusion.tp += day_truth;
+                    confusion.fp += day_empty;
+                } else {
+                    confusion.fn_ += day_truth;
+                    confusion.tn += day_empty;
+                }
+            }
+            confusion
+        })
+        .collect();
+    Ok(confusions)
+}
+
+fn window_table(meter: &PowerTrace, window: usize) -> WindowTable {
+    let summaries: Vec<(f64, f64)> = WindowStats::new(meter, window)
+        .map(|(_, s)| (s.mean, s.stddev()))
+        .collect();
+    let mut sorted_means: Vec<f64> = summaries.iter().map(|&(mean, _)| mean).collect();
+    sorted_means.sort_by(|a, b| a.total_cmp(b));
+    WindowTable {
+        window,
+        summaries,
+        sorted_means,
+    }
+}
+
+fn cell_table(
+    meter: &PowerTrace,
+    truth: &LabelSeries,
+    window: usize,
+    night_prior: Option<(u8, u8)>,
+) -> CellTable {
+    let (start, resolution) = (meter.start(), meter.resolution());
+    let cells = truth
+        .labels()
+        .chunks(window)
+        .enumerate()
+        .map(|(k, occupied)| {
+            let mut cell = [0u64; 4];
+            for (offset, &occupied) in occupied.iter().enumerate() {
+                let night = night_prior.is_some_and(|(from, to)| {
+                    in_night(start, resolution, k * window + offset, from, to)
+                });
+                cell[2 * usize::from(!night) + usize::from(!occupied)] += 1;
+            }
+            cell
+        })
+        .collect();
+    CellTable {
+        window,
+        night_prior,
+        cells,
+    }
 }
 
 #[cfg(test)]
@@ -274,12 +435,13 @@ mod tests {
     #[test]
     fn smoothing_kills_flicker() {
         let flags = vec![false, false, true, false, false, false];
-        assert_eq!(
-            smooth_bool_runs(&flags, 2),
-            vec![false, false, false, false, false, false]
-        );
+        let mut smoothed = flags.clone();
+        smooth_runs_in_place(&mut smoothed, 2);
+        assert_eq!(smoothed, vec![false; 6]);
         // min_run 1 is identity.
-        assert_eq!(smooth_bool_runs(&flags, 1), flags);
+        let mut identity = flags.clone();
+        smooth_runs_in_place(&mut identity, 1);
+        assert_eq!(identity, flags);
     }
 
     #[test]

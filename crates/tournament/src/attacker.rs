@@ -2,7 +2,7 @@
 
 use crate::arena::TrainingArena;
 use iot_privacy::defense::Defense;
-use iot_privacy::niom::{LogisticDetector, OccupancyDetector, ThresholdDetector};
+use iot_privacy::niom::{sweep_confusions, LogisticDetector, OccupancyDetector, ThresholdDetector};
 use iot_privacy::timeseries::rng::{round_seed, seeded_rng};
 use iot_privacy::timeseries::{LabelSeries, PowerTrace};
 
@@ -229,32 +229,48 @@ impl Attacker for AdaptiveTuned {
         let _span = obs::span("tournament.fit");
         let grid = candidate_grid();
         let mut defended: Vec<(PowerTrace, &LabelSeries)> = Vec::new();
+        // Every grid candidate's MCC on each defended trace, in trace
+        // order. A trace's scores never change once it is in the training
+        // set, so each is swept exactly once, in the round that adds it.
+        let mut grid_mcc: Vec<Vec<f64>> = Vec::new();
         let mut round_train_mcc = Vec::with_capacity(rounds);
         let mut best: Option<(f64, DeployedModel)> = None;
         for round in 0..rounds {
+            let fresh = defended.len();
             for (i, home) in arena.homes.iter().enumerate() {
                 let mut rng = seeded_rng(round_seed(seed, round, i));
                 let out = defense.apply(&home.meter, &mut rng);
                 defended.push((out.trace, &home.occupancy));
             }
+            grid_mcc.extend(iot_privacy::fleet::par_map(
+                defended[fresh..].iter().collect(),
+                |(meter, occupancy)| {
+                    sweep_confusions(&grid, meter, occupancy)
+                        .expect("defense preserves geometry")
+                        .iter()
+                        .map(|c| c.mcc())
+                        .collect::<Vec<f64>>()
+                },
+            ));
             // Refit on everything accumulated: the tuned threshold family
-            // plus a logistic model retrained on the defended pairs.
+            // plus a logistic model retrained on the defended pairs. Each
+            // grid mean sums per-trace MCCs in trace order, exactly as
+            // `mean_mcc` does for the logistic candidate.
             let pairs: Vec<(&PowerTrace, &LabelSeries)> =
                 defended.iter().map(|(m, o)| (m, *o)).collect();
-            let mut candidates: Vec<DeployedModel> = grid
+            let logistic = DeployedModel::Logistic(LogisticDetector::train(&pairs, WINDOW));
+            let logistic_score = mean_mcc(&logistic, &defended);
+            let scored = grid
                 .iter()
-                .map(|d| DeployedModel::Threshold(d.clone()))
-                .collect();
-            candidates.push(DeployedModel::Logistic(LogisticDetector::train(
-                &pairs, WINDOW,
-            )));
-            // Deterministic selection: scores are computed in grid order
-            // (par_map preserves order) and only a strictly better score
-            // displaces the incumbent.
-            let scored = iot_privacy::fleet::par_map(candidates, |model| {
-                let score = mean_mcc(&model, &defended);
-                (score, model)
-            });
+                .enumerate()
+                .map(|(k, d)| {
+                    let score =
+                        grid_mcc.iter().map(|trace| trace[k]).sum::<f64>() / grid_mcc.len() as f64;
+                    (score, DeployedModel::Threshold(d.clone()))
+                })
+                .chain(std::iter::once((logistic_score, logistic)));
+            // Deterministic selection: scores come in grid order, logistic
+            // last, and only a strictly better score displaces the incumbent.
             best = None;
             for (score, model) in scored {
                 if best.as_ref().is_none_or(|(b, _)| score > *b) {
