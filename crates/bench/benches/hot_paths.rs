@@ -10,9 +10,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use iot_privacy::homesim::{Home, HomeConfig};
 use iot_privacy::loads::Catalogue;
-use iot_privacy::nilm::{
-    train_device_hmm, DecodeArena, DecodePrecision, Disaggregator, Fhmm, FhmmConfig,
-};
+use iot_privacy::nilm::{train_device_hmm, DecodeArena, Disaggregator, Fhmm, FhmmConfig};
 use iot_privacy::niom::ThresholdDetector;
 use iot_privacy::scenario::EnergyScenario;
 use iot_privacy::stream::{
@@ -49,50 +47,18 @@ fn bench_hot_paths(c: &mut Criterion) {
         b.iter(|| fhmm.disaggregate(&day))
     });
 
-    // Multi-home batched decode kernels vs a loop of single-home decodes
-    // over the SAME meters and model (4 devices, 16 joint states — the
-    // stream_throughput decode-section shape). The shared arena outside
-    // b.iter is the intended production lifecycle: one warm allocation
-    // serving every batch.
-    let kernel_models: Vec<_> = models.iter().take(4).cloned().collect();
-    let f64_kernel = Fhmm::new(kernel_models.clone());
-    let f32_kernel = Fhmm::with_config(
-        kernel_models,
-        FhmmConfig {
-            precision: DecodePrecision::F32,
-            ..FhmmConfig::default()
-        },
-    );
-    let kernel_meters: Vec<PowerTrace> = (0..128)
+    // A 32-meter batch through one warm arena (4 devices, 16 joint states
+    // — the stream_throughput decode-section shape). The shared arena
+    // outside b.iter is the intended production lifecycle: one warm
+    // allocation serving every batch.
+    let kernel = Fhmm::new(models.iter().take(4).cloned().collect());
+    let kernel_meters: Vec<PowerTrace> = (0..32)
         .map(|i| day.map(|w| w + (i % 13) as f64 * 3.5))
         .collect();
-
-    for &lanes in &[8usize, 32, 128] {
-        let refs: Vec<&PowerTrace> = kernel_meters[..lanes].iter().collect();
-
-        c.bench_function(&format!("fhmm/decode_{lanes}_homes_single_f64"), |b| {
-            let mut arena = DecodeArena::new();
-            b.iter(|| {
-                refs.iter()
-                    .map(|m| f64_kernel.decode(m, &mut arena))
-                    .collect::<Vec<_>>()
-            })
-        });
-
-        c.bench_function(&format!("fhmm/decode_{lanes}_homes_batched_f64"), |b| {
-            let mut arena = DecodeArena::new();
-            b.iter(|| f64_kernel.decode_batch(&refs, &mut arena))
-        });
-
-        c.bench_function(&format!("fhmm/decode_{lanes}_homes_batched_f32"), |b| {
-            let mut arena = DecodeArena::new();
-            b.iter(|| f32_kernel.decode_batch(&refs, &mut arena))
-        });
-    }
-
-    c.bench_function("fhmm/decode_1_home_single_f32", |b| {
+    let refs: Vec<&PowerTrace> = kernel_meters.iter().collect();
+    c.bench_function("fhmm/decode_32_homes", |b| {
         let mut arena = DecodeArena::new();
-        b.iter(|| f32_kernel.decode(&kernel_meters[0], &mut arena))
+        b.iter(|| kernel.decode_batch(&refs, &mut arena))
     });
 
     c.bench_function("fleet/10_homes_1_day", |b| {

@@ -1,4 +1,4 @@
-//! Streaming-fleet throughput and batched-decode kernel throughput.
+//! Streaming-fleet throughput and FHMM decode throughput.
 //!
 //! Two sections, one artifact:
 //!
@@ -14,11 +14,10 @@
 //! output (the `stream` crate's batch-equivalence contract).
 //!
 //! **FHMM decode** — the disaggregation hot path in isolation: one
-//! 16-joint-state FHMM decoding 128 independent 1-day meters, single-home
-//! kernel vs the multi-home batched kernel at B ∈ {8, 32, 128}, in both
-//! `f64` and the opt-in `f32` score path. Batched `f64` paths are asserted
-//! byte-identical to the single-home decoder; `f32` reports its per-sample
-//! state disagreement against `f64` (pinned by the `accuracy.*` claims).
+//! 16-joint-state FHMM decoding 128 independent 1-day meters, one
+//! `Fhmm::decode` per meter vs `Fhmm::decode_batch` over shards of
+//! B ∈ {8, 32, 128}. Batched paths are asserted byte-identical to the
+//! single-home decodes.
 //!
 //! With the [`obs`] layer enabled (the binary's `--metrics <path>` flag)
 //! the JSON additionally records the `stream.chunks` / `stream.samples`
@@ -33,7 +32,7 @@ use super::{Report, RunConfig};
 use crate::table::{Cell, ThroughputTable};
 use iot_privacy::fleet::{home_seed, par_map};
 use iot_privacy::homesim::{Home, HomeConfig};
-use iot_privacy::nilm::{DecodeArena, DecodePrecision, DeviceHmm, Fhmm, FhmmConfig};
+use iot_privacy::nilm::{DecodeArena, DeviceHmm, Fhmm};
 use iot_privacy::scenario::EnergyScenario;
 use iot_privacy::streaming::StreamingScenario;
 use iot_privacy::timeseries::rng::{derive_seed, normal, seeded_rng};
@@ -52,7 +51,7 @@ const CHUNK_LENS: [usize; 3] = [60, 240, 1_440];
 const TIMING_REPS: usize = 3;
 /// Meters decoded in the FHMM kernel section (= the largest batch size).
 const DECODE_HOMES: usize = 128;
-/// Batch sizes swept through the multi-home decode kernel.
+/// Shard sizes swept through `Fhmm::decode_batch`.
 const DECODE_BATCHES: [usize; 3] = [8, 32, 128];
 
 /// Times `f` [`TIMING_REPS`] times and returns the median seconds.
@@ -171,8 +170,7 @@ pub fn run(cfg: &RunConfig) -> Report {
         ),
     );
     report.note(
-        "\nBatched f64 decode verified byte-identical to the single-home kernel at every \
-         batch size ✓ (f32 is opt-in and reports its state disagreement vs f64)",
+        "\nBatched decode verified byte-identical to single-home decode at every batch size ✓",
     );
 
     report.json = serde_json::json!({
@@ -228,8 +226,8 @@ fn decode_meter(seed: u64, index: usize, len: usize) -> PowerTrace {
     clean.map(|w| (w + normal(&mut rng, 0.0, 25.0)).max(0.0))
 }
 
-/// The FHMM decode section: single-home kernel vs the batched kernel at
-/// each batch size, in `f64` and `f32`.
+/// The FHMM decode section: one decode per meter vs `decode_batch` over
+/// shards of each batch size.
 fn decode_section(root_seed: u64) -> (serde_json::Value, ThroughputTable) {
     let meters: Vec<PowerTrace> = (0..DECODE_HOMES)
         .map(|i| {
@@ -242,93 +240,53 @@ fn decode_section(root_seed: u64) -> (serde_json::Value, ThroughputTable) {
         .collect();
     let refs: Vec<&PowerTrace> = meters.iter().collect();
     let samples = DECODE_HOMES * SAMPLES_PER_HOME;
-
-    let fhmm = |precision: DecodePrecision| {
-        Fhmm::with_config(
-            decode_models(),
-            FhmmConfig {
-                precision,
-                ..FhmmConfig::default()
-            },
-        )
-    };
-    let f64_model = fhmm(DecodePrecision::F64);
-    let f32_model = fhmm(DecodePrecision::F32);
+    let model = Fhmm::new(decode_models());
 
     let mut arena = DecodeArena::new();
     // Reference paths (and warm-up for the cached joint tables).
-    let single_paths: Vec<Vec<Vec<usize>>> = refs
-        .iter()
-        .map(|m| f64_model.decode(m, &mut arena))
-        .collect();
-    let single32_paths: Vec<Vec<Vec<usize>>> = refs
-        .iter()
-        .map(|m| f32_model.decode(m, &mut arena))
-        .collect();
-    let disagreement = state_disagreement(&single_paths, &single32_paths);
+    let single_paths: Vec<Vec<Vec<usize>>> =
+        refs.iter().map(|m| model.decode(m, &mut arena)).collect();
 
-    let mut table = ThroughputTable::new(&["kernel", "precision", "samples/s", "vs single f64"]);
+    let mut table = ThroughputTable::new(&["kernel", "samples/s"]);
     let mut entries = Vec::new();
-    let mut single_per_sec = [0.0f64; 2];
-    for (pi, (model, label)) in [(&f64_model, "f64"), (&f32_model, "f32")]
-        .into_iter()
-        .enumerate()
-    {
-        let s = median_seconds(|| {
-            for m in &refs {
-                std::hint::black_box(model.decode(m, &mut arena));
-            }
-        });
-        single_per_sec[pi] = samples as f64 / s;
-        table.row(&[
-            Cell::Text("single".into()),
-            Cell::Text(label.into()),
-            Cell::Rate(single_per_sec[pi]),
-            Cell::Speedup(single_per_sec[pi] / single_per_sec[0]),
-        ]);
-        entries.push(serde_json::json!({
-            "kernel": "single",
-            "precision": label,
-            "decode_seconds": s,
-            "samples_per_sec": single_per_sec[pi],
-        }));
-    }
+    let s = median_seconds(|| {
+        for m in &refs {
+            std::hint::black_box(model.decode(m, &mut arena));
+        }
+    });
+    let single_per_sec = samples as f64 / s;
+    table.row(&[Cell::Text("single".into()), Cell::Rate(single_per_sec)]);
+    entries.push(serde_json::json!({
+        "kernel": "single",
+        "decode_seconds": s,
+        "samples_per_sec": single_per_sec,
+    }));
 
     for batch in DECODE_BATCHES {
-        for (model, label, reference) in [
-            (&f64_model, "f64", &single_paths),
-            (&f32_model, "f32", &single32_paths),
-        ] {
-            let mut paths = Vec::new();
-            let s = median_seconds(|| {
-                paths = refs
-                    .chunks(batch)
-                    .flat_map(|shard| model.decode_batch(shard, &mut arena))
-                    .collect();
-            });
-            let matches_single = paths == *reference;
-            assert!(
-                matches_single,
-                "batched {label} decode (B={batch}) must match the single-home kernel"
-            );
-            let per_sec = samples as f64 / s;
-            let speedup = per_sec / single_per_sec[0];
-            table.row(&[
-                Cell::Text(format!("batched B={batch}")),
-                Cell::Text(label.into()),
-                Cell::Rate(per_sec),
-                Cell::Speedup(speedup),
-            ]);
-            entries.push(serde_json::json!({
-                "kernel": "batched",
-                "batch": batch,
-                "precision": label,
-                "decode_seconds": s,
-                "samples_per_sec": per_sec,
-                "vs_single_f64_speedup": speedup,
-                "matches_single": matches_single,
-            }));
-        }
+        let mut paths = Vec::new();
+        let s = median_seconds(|| {
+            paths = refs
+                .chunks(batch)
+                .flat_map(|shard| model.decode_batch(shard, &mut arena))
+                .collect();
+        });
+        let matches_single = paths == single_paths;
+        assert!(
+            matches_single,
+            "batched decode (B={batch}) must match the single-home decodes"
+        );
+        let per_sec = samples as f64 / s;
+        table.row(&[
+            Cell::Text(format!("batched B={batch}")),
+            Cell::Rate(per_sec),
+        ]);
+        entries.push(serde_json::json!({
+            "kernel": "batched",
+            "batch": batch,
+            "decode_seconds": s,
+            "samples_per_sec": per_sec,
+            "matches_single": matches_single,
+        }));
     }
 
     let decode_json = serde_json::json!({
@@ -336,22 +294,7 @@ fn decode_section(root_seed: u64) -> (serde_json::Value, ThroughputTable) {
         "joint_states": 16,
         "homes": DECODE_HOMES,
         "samples": samples,
-        "f32_state_disagreement_rate": disagreement,
         "kernels": entries,
     });
     (decode_json, table)
-}
-
-/// Fraction of per-device per-sample states where the `f32` decode differs
-/// from the `f64` decode.
-fn state_disagreement(a: &[Vec<Vec<usize>>], b: &[Vec<Vec<usize>>]) -> f64 {
-    let mut total = 0usize;
-    let mut differ = 0usize;
-    for (pa, pb) in a.iter().zip(b) {
-        for (da, db) in pa.iter().zip(pb) {
-            total += da.len();
-            differ += da.iter().zip(db).filter(|(x, y)| x != y).count();
-        }
-    }
-    differ as f64 / total as f64
 }

@@ -420,14 +420,6 @@ fn stream_metric_delta_max(v: &Value) -> Result<f64, String> {
     num(v, "metric_delta_max")
 }
 
-fn stream_precision_safe(v: &Value) -> Result<f64, String> {
-    nested_flags_all(v, "precision", &["f32_defaults_off", "f32_batch_equal"])
-}
-
-fn stream_f32_disagreement(v: &Value) -> Result<f64, String> {
-    nested_num(v, "precision", "f32_state_disagreement_rate")
-}
-
 fn chunked_speedup_min(v: &Value) -> Result<f64, String> {
     min_over(v, "sizes", |size| {
         min_over(size, "chunks", |c| num(c, "vs_batch_speedup"))
@@ -442,20 +434,6 @@ fn decode_section(v: &Value) -> Result<&Value, String> {
 
 fn decode_throughput_max(v: &Value) -> Result<f64, String> {
     max_over(decode_section(v)?, "kernels", |k| num(k, "samples_per_sec"))
-}
-
-fn decode_batched_speedup_max(v: &Value) -> Result<f64, String> {
-    let mut best = f64::NEG_INFINITY;
-    for kernel in items(decode_section(v)?, "kernels")? {
-        if let Some(speedup) = kernel.get("vs_single_f64_speedup").and_then(Value::as_f64) {
-            best = best.max(speedup);
-        }
-    }
-    if best.is_finite() {
-        Ok(best)
-    } else {
-        Err("no batched kernel entries with a speedup".to_string())
-    }
 }
 
 fn decode_batched_identical(v: &Value) -> Result<f64, String> {
@@ -977,26 +955,7 @@ pub fn all() -> &'static [Claim] {
             extract: stream_metric_delta_max,
             cheap: true,
         },
-        // -- Batched decode kernels: precision policy --------------------
-        Claim {
-            id: "accuracy.f32-safe-defaults",
-            anchor: "roadmap (streaming)",
-            title: "The f32 score path is opt-in (off by default) and batch-consistent",
-            experiment: "stream_equivalence",
-            band: Band::Absolute { lo: 1.0, hi: 1.0 },
-            extract: stream_precision_safe,
-            cheap: true,
-        },
-        Claim {
-            id: "accuracy.f32-decode-close",
-            anchor: "roadmap (streaming)",
-            title: "f32 FHMM decode disagrees with f64 on under 2% of per-sample states",
-            experiment: "stream_equivalence",
-            band: Band::AtMost { hi: 0.02 },
-            extract: stream_f32_disagreement,
-            cheap: true,
-        },
-        // -- Batched decode kernels: throughput (wall-clock) -------------
+        // -- Decode throughput (wall-clock) -------------------------------
         Claim {
             id: "stream.chunked-not-slower",
             anchor: "roadmap (streaming throughput)",
@@ -1013,15 +972,6 @@ pub fn all() -> &'static [Claim] {
             experiment: "stream_throughput",
             band: Band::AtLeast { lo: 1_600_000.0 },
             extract: decode_throughput_max,
-            cheap: false,
-        },
-        Claim {
-            id: "perf.fhmm-batched-not-slower",
-            anchor: "roadmap (streaming throughput)",
-            title: "Some batched decode configuration beats the single-home f64 kernel",
-            experiment: "stream_throughput",
-            band: Band::AtLeast { lo: 1.0 },
-            extract: decode_batched_speedup_max,
             cheap: false,
         },
         Claim {

@@ -550,15 +550,15 @@ where
     supervised_engine_serial(homes, root_seed, config, run_attempt)
 }
 
-/// Disaggregates a fleet of meters through the batched FHMM decode
-/// kernel, `batch` homes per shard.
+/// Disaggregates a fleet of meters with the FHMM, `batch` homes per
+/// shard.
 ///
 /// Shards are decoded concurrently with [`par_map`]; each shard reuses one
-/// [`DecodeArena`] across its lanes, so scratch allocation is per-shard,
-/// not per-home. Estimates come back in meter order. Because the batched
-/// kernel is byte-identical to the single-home decoder (see
-/// `docs/KERNELS.md`), the result does not depend on `batch`, the shard
-/// schedule, or the thread count — only wall-clock time does.
+/// [`DecodeArena`] across its meters, so scratch allocation is per-shard,
+/// not per-home. Estimates come back in meter order. Every meter gets the
+/// single-home decode (see `docs/KERNELS.md`), so the result does not
+/// depend on `batch`, the shard schedule, or the thread count — only
+/// wall-clock time does.
 ///
 /// # Panics
 ///

@@ -49,10 +49,10 @@ fn parallel_fleet_is_byte_identical_to_serial_at_any_thread_count() {
         "sanity: metrics recorded"
     );
 
-    // Batched-decode reference: the multi-home FHMM kernels must be
+    // Batched-decode reference: the sharded fleet decode must be
     // byte-identical to the per-meter serial decode regardless of thread
-    // count or shard size (each shard decodes as one SoA batch, so this
-    // also covers the ragged last shard: 6 homes at batch 32).
+    // count or shard size (including the ragged last shard: 6 homes at
+    // batch 32).
     let homes: Vec<Home> = (0..6)
         .map(|i| Home::simulate(&HomeConfig::new(9_000 + i as u64).days(1)))
         .collect();

@@ -10,58 +10,27 @@
 //!   residual left by the other devices' current estimates, swept until
 //!   convergence — the standard approximation for large device sets.
 //!
-//! Hot-path layout: both decoders work on flat score tables — joint
-//! emission means, joint log-transitions stored *transposed* (`[to*k+from]`)
-//! so the max-over-predecessors inner loop reads contiguous memory — with
-//! two swapped scratch rows instead of per-step allocation, and `u32`
-//! backpointers at half the memory traffic of `usize`. The joint tables
-//! depend only on the models, so they are built once per [`Fhmm`] and
-//! shared by every subsequent decode (e.g. per-day slices in the figure
-//! binaries).
+//! Both run one recurrence, `ForwardPass::push`, over flat score tables:
+//! per-state emission means and log-transitions stored *transposed*
+//! (`[to*k+from]`) so the max-over-predecessors inner loop reads contiguous
+//! memory, two swapped score rows instead of per-step allocation, and `u32`
+//! backpointers at half the memory traffic of `usize`. Exact decode pushes
+//! every sample through the joint tables, [`FhmmFilter`] pushes one sample
+//! per call, and each ICM sweep pushes a residual through one device's
+//! tables. The joint tables depend only on the models, so they are built
+//! once per [`Fhmm`] and shared by every subsequent decode.
 //!
-//! Three performance layers sit on top of that base (see `docs/KERNELS.md`
-//! for layout diagrams and the batching contract):
-//!
-//! * **Multi-home batched kernels** ([`Fhmm::decode_batch`],
-//!   [`Fhmm::disaggregate_batch`], [`FhmmBatchFilter`]): B equal-length
-//!   meters run through one Viterbi/ICM pass in a transposed
-//!   structure-of-arrays layout (`scores[state * B + home]`) whose inner
-//!   recurrence is a contiguous, branch-predictable loop over homes the
-//!   compiler can vectorize. Per-lane results are byte-identical to the
-//!   single-home decode of the same trace.
-//! * **Opt-in `f32` scores** ([`DecodePrecision`] on [`FhmmConfig`]): all
-//!   Viterbi/ICM score arithmetic in single precision (tables converted
-//!   once, cached per model), halving score-row memory traffic and
-//!   doubling SIMD width. Off by default; the accuracy cost is pinned by
-//!   `accuracy.*` conformance claims.
-//! * **Scratch-arena reuse** ([`DecodeArena`]): the delta rows,
-//!   backpointer table, and ICM residual buffers live in a caller-owned
-//!   (or thread-local, for [`Disaggregator::disaggregate`]) arena so
-//!   per-decode allocations are reused across chunks, homes, and sweeps.
+//! The score rows, backpointer table and ICM residual buffers live in a
+//! caller-owned (or thread-local, for [`Disaggregator::disaggregate`])
+//! [`DecodeArena`], so decodes reuse scratch across chunks, homes and
+//! sweeps. [`Fhmm::decode_batch`] is a loop of single-meter decodes over
+//! one arena. See `docs/KERNELS.md`.
 
 use crate::estimate::{DeviceEstimate, Disaggregator};
 use crate::train::DeviceHmm;
 use std::cell::RefCell;
-use std::cmp::Ordering;
-use std::collections::BTreeMap;
 use std::sync::OnceLock;
 use timeseries::{PowerTrace, Resolution, Timestamp};
-
-/// Floating-point width of the Viterbi/ICM score arithmetic.
-///
-/// `F32` halves score-row memory traffic and doubles SIMD lane count at
-/// the cost of occasional state flips on near-ties; the end-to-end metric
-/// deltas are pinned by the `accuracy.*` conformance claims. Model tables
-/// are converted once per [`Fhmm`] and cached, and residual/explained
-/// arithmetic in ICM stays `f64` — only the decode scores narrow.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DecodePrecision {
-    /// Double-precision scores (bit-compatible with the original decoder).
-    #[default]
-    F64,
-    /// Single-precision scores (opt-in fast path).
-    F32,
-}
 
 /// Tuning parameters of the FHMM disaggregator.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -72,8 +41,6 @@ pub struct FhmmConfig {
     pub max_exact_states: usize,
     /// ICM sweeps when the joint space is too large for exact inference.
     pub icm_sweeps: usize,
-    /// Score arithmetic width (defaults to `F64`).
-    pub precision: DecodePrecision,
 }
 
 impl Default for FhmmConfig {
@@ -82,32 +49,25 @@ impl Default for FhmmConfig {
             noise_sd_watts: 40.0,
             max_exact_states: 512,
             icm_sweeps: 4,
-            precision: DecodePrecision::F64,
         }
     }
 }
 
-/// Reusable decode scratch: delta rows, the backpointer table, the batch
-/// observation column, and the ICM residual/explained buffers.
+/// Reusable decode scratch: the forward pass (score rows and backpointer
+/// table) and the ICM residual/explained buffers.
 ///
-/// Kernels size the buffers on entry (never shrink capacity), so one arena
-/// serves decodes of any batch size, state count, and trace length — reuse
-/// across chunks and homes is what removes the per-chunk allocation
-/// overhead behind the streaming regression. [`Disaggregator::disaggregate`]
-/// uses a thread-local arena ([`with_thread_arena`]); batch entry points
-/// take `&mut DecodeArena` so fleet shards can own one arena per worker.
+/// Buffers are resized on use and never shrink, so one arena serves
+/// decodes of any state count and trace length — reuse across chunks and
+/// homes is what removes the per-decode allocation overhead.
+/// [`Disaggregator::disaggregate`] uses a thread-local arena
+/// ([`with_thread_arena`]); the `_with` and batch entry points take
+/// `&mut DecodeArena` so fleet shards can own one arena per worker.
 ///
-/// When a kernel finds the arena's backpointer capacity already sufficient
-/// it bumps the `decode.arena_reuse` obs counter.
+/// When a decode finds the arena's backpointer capacity already
+/// sufficient it bumps the `decode.arena_reuse` obs counter.
 #[derive(Debug, Default)]
 pub struct DecodeArena {
-    delta: Vec<f64>,
-    next: Vec<f64>,
-    col: Vec<f64>,
-    delta32: Vec<f32>,
-    next32: Vec<f32>,
-    col32: Vec<f32>,
-    back: Vec<u32>,
+    pass: ForwardPass,
     residual: Vec<f64>,
     explained: Vec<f64>,
 }
@@ -132,179 +92,140 @@ pub fn with_thread_arena<R>(f: impl FnOnce(&mut DecodeArena) -> R) -> R {
     THREAD_ARENA.with(|a| f(&mut a.borrow_mut()))
 }
 
-/// Bumps the arena-reuse counter when the dominant allocation (the
-/// backpointer table) is already resident from an earlier decode.
-fn note_arena_use(back: &Vec<u32>, needed: usize) {
-    if back.capacity() >= needed && needed > 0 {
-        obs::counter_add("decode.arena_reuse", 1);
-    }
-}
-
-/// Score arithmetic the kernels are generic over: `f64` (default,
-/// bit-compatible with the original decoder) or `f32` (opt-in fast path).
-/// Each width knows where its cached tables and arena rows live.
-trait Score:
-    Copy
-    + PartialOrd
-    + std::fmt::Debug
-    + std::ops::Add<Output = Self>
-    + std::ops::Sub<Output = Self>
-    + std::ops::Mul<Output = Self>
-    + std::ops::Neg<Output = Self>
-    + Send
-    + Sync
-    + 'static
-{
-    const NEG_INF: Self;
-    fn from_f64(v: f64) -> Self;
-    fn total_cmp(&self, other: &Self) -> Ordering;
-    fn joint_view(fhmm: &Fhmm) -> TablesView<'_, Self>;
-    fn chain_view(fhmm: &Fhmm, d: usize) -> TablesView<'_, Self>;
-    fn scratch(arena: &mut DecodeArena) -> Scratch<'_, Self>;
-}
-
-impl Score for f64 {
-    const NEG_INF: Self = f64::NEG_INFINITY;
-    fn from_f64(v: f64) -> f64 {
-        v
-    }
-    fn total_cmp(&self, other: &Self) -> Ordering {
-        f64::total_cmp(self, other)
-    }
-    fn joint_view(fhmm: &Fhmm) -> TablesView<'_, f64> {
-        fhmm.joint_tables().view()
-    }
-    fn chain_view(fhmm: &Fhmm, d: usize) -> TablesView<'_, f64> {
-        fhmm.chains[d].view()
-    }
-    fn scratch(arena: &mut DecodeArena) -> Scratch<'_, f64> {
-        Scratch {
-            delta: &mut arena.delta,
-            next: &mut arena.next,
-            col: &mut arena.col,
-            back: &mut arena.back,
-        }
-    }
-}
-
-impl Score for f32 {
-    const NEG_INF: Self = f32::NEG_INFINITY;
-    fn from_f64(v: f64) -> f32 {
-        v as f32
-    }
-    fn total_cmp(&self, other: &Self) -> Ordering {
-        f32::total_cmp(self, other)
-    }
-    fn joint_view(fhmm: &Fhmm) -> TablesView<'_, f32> {
-        fhmm.joint_tables32().view()
-    }
-    fn chain_view(fhmm: &Fhmm, d: usize) -> TablesView<'_, f32> {
-        fhmm.chains32()[d].view()
-    }
-    fn scratch(arena: &mut DecodeArena) -> Scratch<'_, f32> {
-        Scratch {
-            delta: &mut arena.delta32,
-            next: &mut arena.next32,
-            col: &mut arena.col32,
-            back: &mut arena.back,
-        }
-    }
-}
-
-/// The arena rows one decode borrows: two swapped score rows, the batch
-/// observation column, and the shared backpointer table.
-struct Scratch<'a, T> {
-    delta: &'a mut Vec<T>,
-    next: &'a mut Vec<T>,
-    col: &'a mut Vec<T>,
-    back: &'a mut Vec<u32>,
-}
-
-/// Borrowed flat Viterbi tables: `k` states with per-state emission means
+/// Flat Viterbi tables: `k` states with per-state emission means
 /// (`totals`), initial log-probs, and the transposed log-transition table
-/// `log_a_t[to * k + from]`. Both the joint space and a single device
-/// chain present this shape, so every kernel works on either.
-#[derive(Clone, Copy)]
-struct TablesView<'a, T> {
-    k: usize,
-    totals: &'a [T],
-    log_init: &'a [T],
-    log_a_t: &'a [T],
-}
-
-/// One device chain in hot-path layout: transposed flat transition table.
+/// `log_a_t[to * k + from]`. The joint space and each single device chain
+/// share this shape, so one recurrence decodes either.
 #[derive(Debug, Clone)]
-struct FlatChain<T> {
+struct FlatTables {
     k: usize,
-    watts: Vec<T>,
-    log_init: Vec<T>,
-    /// `log_trans_t[to * k + from]` — transposed so scanning predecessors
-    /// of one target state is a contiguous read.
-    log_trans_t: Vec<T>,
+    totals: Vec<f64>,
+    log_init: Vec<f64>,
+    /// `log_a_t[to * k + from]` — transposed so scanning predecessors of
+    /// one target state is a contiguous read.
+    log_a_t: Vec<f64>,
 }
 
-impl FlatChain<f64> {
-    fn from_hmm(dev: &DeviceHmm) -> Self {
+impl FlatTables {
+    /// One device chain: its state watts, initial and transition log-probs.
+    fn from_hmm(dev: &DeviceHmm) -> FlatTables {
         let k = dev.n_states();
-        let mut log_trans_t = vec![0.0f64; k * k];
+        let mut log_a_t = vec![0.0f64; k * k];
         for (from, row) in dev.log_trans.iter().enumerate() {
             for (to, &v) in row.iter().enumerate() {
-                log_trans_t[to * k + from] = v;
+                log_a_t[to * k + from] = v;
             }
         }
-        FlatChain {
+        FlatTables {
             k,
-            watts: dev.state_watts.clone(),
+            totals: dev.state_watts.clone(),
             log_init: dev.log_init.clone(),
-            log_trans_t,
-        }
-    }
-
-    fn demote(&self) -> FlatChain<f32> {
-        FlatChain {
-            k: self.k,
-            watts: demote(&self.watts),
-            log_init: demote(&self.log_init),
-            log_trans_t: demote(&self.log_trans_t),
+            log_a_t,
         }
     }
 }
 
-impl<T> FlatChain<T> {
-    fn view(&self) -> TablesView<'_, T> {
-        TablesView {
-            k: self.k,
-            totals: &self.watts,
-            log_init: &self.log_init,
-            log_a_t: &self.log_trans_t,
+/// The forward pass of flat Viterbi, one observation per [`push`]: the
+/// current score row, a scratch row swapped with it each step, and the
+/// backpointer table, which grows one `k`-wide row per observation.
+///
+/// [`push`]: ForwardPass::push
+#[derive(Debug, Clone, Default)]
+struct ForwardPass {
+    delta: Vec<f64>,
+    next: Vec<f64>,
+    back: Vec<u32>,
+    n: usize,
+}
+
+impl ForwardPass {
+    /// Folds observation `x` into the pass — the one Viterbi step every
+    /// decoder runs. The first observation seeds the scores from the
+    /// initial log-probs; each later one takes, per target state, the
+    /// first maximum over predecessors (strict `>`) and adds the Gaussian
+    /// emission score.
+    fn push(&mut self, tables: &FlatTables, x: f64, inv_two_var: f64) {
+        let emit = |total: f64| {
+            let d = x - total;
+            -d * d * inv_two_var
+        };
+        if self.n == 0 {
+            self.delta.clear();
+            self.delta.extend(
+                tables
+                    .log_init
+                    .iter()
+                    .zip(&tables.totals)
+                    .map(|(&init, &total)| init + emit(total)),
+            );
+            self.next.clear();
+            self.next.resize(tables.k, f64::NEG_INFINITY);
+            // Row 0 of the backpointer table is never read; it keeps row
+            // `t` at offset `t * k`.
+            self.back.clear();
+            self.back.resize(tables.k, 0);
+        } else {
+            let start = self.back.len();
+            self.back.resize(start + tables.k, 0);
+            let targets = self.back[start..]
+                .iter_mut()
+                .zip(&mut self.next)
+                .zip(&tables.totals)
+                .zip(tables.log_a_t.chunks_exact(tables.k));
+            for (((slot, next), &total), row) in targets {
+                let mut best = f64::NEG_INFINITY;
+                let mut arg = 0u32;
+                for (i, (&d, &a)) in self.delta.iter().zip(row).enumerate() {
+                    let v = d + a;
+                    if v > best {
+                        best = v;
+                        arg = i as u32;
+                    }
+                }
+                *next = best + emit(total);
+                *slot = arg;
+            }
+            std::mem::swap(&mut self.delta, &mut self.next);
         }
+        self.n += 1;
     }
-}
 
-fn demote(v: &[f64]) -> Vec<f32> {
-    v.iter().map(|&x| x as f32).collect()
-}
-
-/// Joint-space tables for exact factorial Viterbi; model-dependent only,
-/// so built once per [`Fhmm`] and reused across decodes.
-#[derive(Debug, Clone)]
-struct JointTables<T> {
-    k: usize,
-    /// Per-joint-state emission mean (sum of device state watts).
-    totals: Vec<T>,
-    log_init: Vec<T>,
-    /// `log_a_t[to * k + from]` — transposed joint log-transition matrix.
-    log_a_t: Vec<T>,
-}
-
-impl<T> JointTables<T> {
-    fn view(&self) -> TablesView<'_, T> {
-        TablesView {
-            k: self.k,
-            totals: &self.totals,
-            log_init: &self.log_init,
-            log_a_t: &self.log_a_t,
+    /// The most likely state path for the observations pushed so far:
+    /// last-max argmax over the final scores, then the backpointer walk.
+    fn backtrack(&self) -> Vec<usize> {
+        let n = self.n;
+        if n == 0 {
+            return Vec::new();
         }
+        let k = self.delta.len();
+        let mut path = vec![0usize; n];
+        path[n - 1] = self
+            .delta
+            .iter()
+            .enumerate()
+            .max_by(|a, b| a.1.total_cmp(b.1))
+            .map(|(j, _)| j)
+            .unwrap_or(0);
+        for t in (0..n - 1).rev() {
+            path[t] = self.back[(t + 1) * k + path[t + 1]] as usize;
+        }
+        path
+    }
+
+    /// Decodes a whole observation sequence from a fresh pass, reusing
+    /// this pass's buffers.
+    fn decode(&mut self, tables: &FlatTables, xs: &[f64], inv_two_var: f64) -> Vec<usize> {
+        let needed = xs.len() * tables.k;
+        if needed > 0 && self.back.capacity() >= needed {
+            obs::counter_add("decode.arena_reuse", 1);
+        }
+        self.n = 0;
+        self.back.clear();
+        self.back.reserve(needed);
+        for &x in xs {
+            self.push(tables, x, inv_two_var);
+        }
+        self.backtrack()
     }
 }
 
@@ -312,11 +233,9 @@ impl<T> JointTables<T> {
 #[derive(Debug, Clone)]
 pub struct Fhmm {
     devices: Vec<DeviceHmm>,
-    chains: Vec<FlatChain<f64>>,
-    chains32: OnceLock<Vec<FlatChain<f32>>>,
+    chains: Vec<FlatTables>,
     config: FhmmConfig,
-    joint: OnceLock<JointTables<f64>>,
-    joint32: OnceLock<JointTables<f32>>,
+    joint: OnceLock<FlatTables>,
 }
 
 impl Fhmm {
@@ -340,25 +259,18 @@ impl Fhmm {
             config.noise_sd_watts.is_finite() && config.noise_sd_watts > 0.0,
             "noise std-dev must be positive"
         );
-        let chains = devices.iter().map(FlatChain::from_hmm).collect();
+        let chains = devices.iter().map(FlatTables::from_hmm).collect();
         Fhmm {
             devices,
             chains,
-            chains32: OnceLock::new(),
             config,
             joint: OnceLock::new(),
-            joint32: OnceLock::new(),
         }
     }
 
     /// The total joint state count.
     pub fn joint_states(&self) -> usize {
         self.devices.iter().map(|d| d.n_states()).product()
-    }
-
-    /// The configured score precision.
-    pub fn precision(&self) -> DecodePrecision {
-        self.config.precision
     }
 
     fn inv_two_var(&self) -> f64 {
@@ -371,31 +283,21 @@ impl Fhmm {
             return vec![Vec::new(); self.devices.len()];
         }
         obs::counter_add("nilm.fhmm.samples", meter.len() as u64);
-        match self.config.precision {
-            DecodePrecision::F64 => self.decode_t::<f64>(meter, arena),
-            DecodePrecision::F32 => self.decode_t::<f32>(meter, arena),
-        }
-    }
-
-    fn decode_t<T: Score>(&self, meter: &PowerTrace, arena: &mut DecodeArena) -> Vec<Vec<usize>> {
         if self.exact_capable() {
             obs::time("nilm.fhmm.decode_exact", || {
-                let view = T::joint_view(self);
-                let inv_two_var = T::from_f64(self.inv_two_var());
-                let mut scratch = T::scratch(arena);
-                let joint = viterbi_single(&view, meter.samples(), inv_two_var, &mut scratch);
+                let joint =
+                    arena
+                        .pass
+                        .decode(self.joint_tables(), meter.samples(), self.inv_two_var());
                 self.unpack_paths(&joint)
             })
         } else {
-            obs::time("nilm.fhmm.decode_icm", || {
-                let mut paths = self.decode_icm_batch_t::<T>(&[meter], arena);
-                paths.pop().expect("one lane in, one lane out")
-            })
+            obs::time("nilm.fhmm.decode_icm", || self.decode_icm(meter, arena))
         }
     }
 
     /// Builds (or fetches) the joint tables for exact decoding.
-    fn joint_tables(&self) -> &JointTables<f64> {
+    fn joint_tables(&self) -> &FlatTables {
         self.joint.get_or_init(|| {
             let k = self.joint_states();
             let factored: Vec<Vec<usize>> = (0..k).map(|j| self.unpack(j)).collect();
@@ -431,7 +333,7 @@ impl Fhmm {
                         .sum();
                 }
             }
-            JointTables {
+            FlatTables {
                 k,
                 totals,
                 log_init,
@@ -440,94 +342,24 @@ impl Fhmm {
         })
     }
 
-    /// The `f32` copies of the joint tables (converted once, then cached).
-    fn joint_tables32(&self) -> &JointTables<f32> {
-        self.joint32.get_or_init(|| {
-            let j = self.joint_tables();
-            JointTables {
-                k: j.k,
-                totals: demote(&j.totals),
-                log_init: demote(&j.log_init),
-                log_a_t: demote(&j.log_a_t),
-            }
-        })
-    }
-
-    /// The `f32` copies of the per-device chains (converted once).
-    fn chains32(&self) -> &[FlatChain<f32>] {
-        self.chains32
-            .get_or_init(|| self.chains.iter().map(FlatChain::demote).collect())
-    }
-
-    /// Decodes a batch of meters through the multi-home SoA kernels,
-    /// returning per-meter per-device state paths in input order.
-    ///
-    /// Meters are grouped by trace length (the batching contract requires
-    /// equal-length lanes) and each group runs through one batched
-    /// exact-Viterbi or ICM pass. Every lane's result is byte-identical to
-    /// decoding that meter alone.
+    /// Decodes a batch of meters, returning per-meter per-device state
+    /// paths in input order: one [`decode`](Self::decode) per meter over
+    /// the shared `arena`, so every result is byte-identical to decoding
+    /// that meter alone.
     pub fn decode_batch(
         &self,
         meters: &[&PowerTrace],
         arena: &mut DecodeArena,
     ) -> Vec<Vec<Vec<usize>>> {
-        if meters.is_empty() {
-            return Vec::new();
+        if !meters.is_empty() {
+            obs::gauge_set("decode.batch_size", meters.len() as f64);
         }
-        obs::gauge_set("decode.batch_size", meters.len() as f64);
-        match self.config.precision {
-            DecodePrecision::F64 => self.decode_batch_t::<f64>(meters, arena),
-            DecodePrecision::F32 => self.decode_batch_t::<f32>(meters, arena),
-        }
+        meters.iter().map(|m| self.decode(m, arena)).collect()
     }
 
-    fn decode_batch_t<T: Score>(
-        &self,
-        meters: &[&PowerTrace],
-        arena: &mut DecodeArena,
-    ) -> Vec<Vec<Vec<usize>>> {
-        let mut groups: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-        for (i, m) in meters.iter().enumerate() {
-            groups.entry(m.len()).or_default().push(i);
-        }
-        let mut out: Vec<Option<Vec<Vec<usize>>>> = (0..meters.len()).map(|_| None).collect();
-        for (len, idxs) in groups {
-            if len == 0 {
-                for &i in &idxs {
-                    out[i] = Some(vec![Vec::new(); self.devices.len()]);
-                }
-                continue;
-            }
-            obs::counter_add("nilm.fhmm.samples", (len * idxs.len()) as u64);
-            if self.exact_capable() {
-                let decoded = obs::time("nilm.fhmm.decode_exact", || {
-                    let view = T::joint_view(self);
-                    let xs: Vec<&[f64]> = idxs.iter().map(|&i| meters[i].samples()).collect();
-                    let inv_two_var = T::from_f64(self.inv_two_var());
-                    let mut scratch = T::scratch(arena);
-                    viterbi_batch(&view, &xs, inv_two_var, &mut scratch)
-                });
-                for (joint, &i) in decoded.iter().zip(&idxs) {
-                    out[i] = Some(self.unpack_paths(joint));
-                }
-            } else {
-                let subset: Vec<&PowerTrace> = idxs.iter().map(|&i| meters[i]).collect();
-                let decoded = obs::time("nilm.fhmm.decode_icm", || {
-                    self.decode_icm_batch_t::<T>(&subset, arena)
-                });
-                for (paths, &i) in decoded.into_iter().zip(&idxs) {
-                    out[i] = Some(paths);
-                }
-            }
-        }
-        out.into_iter()
-            .map(|p| p.expect("every meter decoded"))
-            .collect()
-    }
-
-    /// [`Disaggregator::disaggregate`] over a batch of meters through the
-    /// multi-home kernels and a caller-owned arena; results are in input
-    /// order and byte-identical to disaggregating each meter alone.
+    /// [`Disaggregator::disaggregate`] over a batch of meters with a
+    /// caller-owned arena; results are in input order and byte-identical
+    /// to disaggregating each meter alone.
     pub fn disaggregate_batch(
         &self,
         meters: &[&PowerTrace],
@@ -552,37 +384,22 @@ impl Fhmm {
         self.estimates_from_paths(meter.start(), meter.resolution(), meter.len(), &paths)
     }
 
-    /// Batched iterated conditional modes over equal-length lanes.
-    ///
-    /// Per lane this replicates the serial single-home sweep exactly:
-    /// device sweeps stay strictly Gauss-Seidel in the same
-    /// flexible-chains-first order, the residual fill is the same
-    /// arithmetic ([`fill_residual`]), and a lane leaves the active set
-    /// after its first unchanged sweep — the point at which the serial
-    /// loop would `break`. ICM is a per-lane fixed-point iteration, so
-    /// dropping converged lanes early cannot change any result.
-    fn decode_icm_batch_t<T: Score>(
-        &self,
-        meters: &[&PowerTrace],
-        arena: &mut DecodeArena,
-    ) -> Vec<Vec<Vec<usize>>> {
-        let lanes = meters.len();
-        let n = meters[0].len();
-        debug_assert!(meters.iter().all(|m| m.len() == n), "equal-length lanes");
+    /// Iterated conditional modes: Gauss-Seidel sweeps over the devices,
+    /// flexible chains first, each re-decoding one device against the
+    /// residual the others leave. Stops after the first sweep that changes
+    /// no path, or after `icm_sweeps` sweeps.
+    fn decode_icm(&self, meter: &PowerTrace, arena: &mut DecodeArena) -> Vec<Vec<usize>> {
+        let xs = meter.samples();
+        let n = xs.len();
 
         // Start everything in its lowest state.
-        let mut paths: Vec<Vec<Vec<usize>>> = (0..lanes)
-            .map(|_| self.devices.iter().map(|_| vec![0usize; n]).collect())
-            .collect();
+        let mut paths: Vec<Vec<usize>> = self.devices.iter().map(|_| vec![0usize; n]).collect();
         let mut explained = std::mem::take(&mut arena.explained);
         explained.clear();
-        explained.resize(lanes * n, 0.0);
-        for (b, home) in paths.iter().enumerate() {
-            let ex = &mut explained[b * n..(b + 1) * n];
-            for (d, dev) in self.devices.iter().enumerate() {
-                for t in 0..n {
-                    ex[t] += dev.state_watts[home[d][t]];
-                }
+        explained.resize(n, 0.0);
+        for (dev, path) in self.devices.iter().zip(&paths) {
+            for (e, &s) in explained.iter_mut().zip(path) {
+                *e += dev.state_watts[s];
             }
         }
 
@@ -593,45 +410,26 @@ impl Fhmm {
 
         let mut residual = std::mem::take(&mut arena.residual);
         residual.clear();
-        residual.resize(lanes * n, 0.0);
+        residual.resize(n, 0.0);
 
-        let inv_two_var = T::from_f64(self.inv_two_var());
-        let mut active: Vec<usize> = (0..lanes).collect();
+        let inv_two_var = self.inv_two_var();
         for _ in 0..self.config.icm_sweeps {
-            if active.is_empty() {
+            let mut changed = false;
+            for &d in &order {
+                let watts = &self.devices[d].state_watts;
+                fill_residual(&mut residual, xs, &explained, watts, &paths[d]);
+                let new_path = arena.pass.decode(&self.chains[d], &residual, inv_two_var);
+                if new_path != paths[d] {
+                    changed = true;
+                    for ((e, &new), &old) in explained.iter_mut().zip(&new_path).zip(&paths[d]) {
+                        *e += watts[new] - watts[old];
+                    }
+                    paths[d] = new_path;
+                }
+            }
+            if !changed {
                 break;
             }
-            let mut changed = vec![false; lanes];
-            for &d in &order {
-                let dev = &self.devices[d];
-                for &b in &active {
-                    fill_residual(
-                        &mut residual[b * n..(b + 1) * n],
-                        meters[b].samples(),
-                        &explained[b * n..(b + 1) * n],
-                        &dev.state_watts,
-                        &paths[b][d],
-                    );
-                }
-                let xs: Vec<&[f64]> = active
-                    .iter()
-                    .map(|&b| &residual[b * n..(b + 1) * n])
-                    .collect();
-                let view = T::chain_view(self, d);
-                let mut scratch = T::scratch(arena);
-                let new_paths = viterbi_batch(&view, &xs, inv_two_var, &mut scratch);
-                for (new_path, &b) in new_paths.iter().zip(&active) {
-                    if *new_path != paths[b][d] {
-                        changed[b] = true;
-                        let ex = &mut explained[b * n..(b + 1) * n];
-                        for t in 0..n {
-                            ex[t] += dev.state_watts[new_path[t]] - dev.state_watts[paths[b][d][t]];
-                        }
-                        paths[b][d].clone_from(new_path);
-                    }
-                }
-            }
-            active.retain(|&b| changed[b]);
         }
         arena.explained = explained;
         arena.residual = residual;
@@ -680,9 +478,8 @@ impl Fhmm {
     ///
     /// Pushing every sample of a trace and then calling
     /// [`FhmmFilter::paths`] reproduces the batch decode bit for bit: the
-    /// filter runs the same flat-table recurrence as the internal exact
-    /// decoder, merely spread across `push` calls. The filter honours the
-    /// configured [`DecodePrecision`].
+    /// filter runs the same step as [`decode`](Self::decode), merely
+    /// spread across `push` calls.
     pub fn filter(&self) -> Option<FhmmFilter<'_>> {
         if !self.exact_capable() {
             return None;
@@ -690,33 +487,7 @@ impl Fhmm {
         Some(FhmmFilter {
             fhmm: self,
             inv_two_var: self.inv_two_var(),
-            rows: FilterRows::new(self.config.precision),
-            back: Vec::new(),
-            n: 0,
-        })
-    }
-
-    /// Starts an incremental exact-Viterbi forward pass over `lanes` homes
-    /// at once in the SoA layout, or `None` when the joint space is too
-    /// large for exact decoding. Each [`FhmmBatchFilter::push_row`] feeds
-    /// one synchronous observation per lane; per-lane results are
-    /// byte-identical to a single-home [`FhmmFilter`] fed the same trace.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lanes` is zero.
-    pub fn batch_filter(&self, lanes: usize) -> Option<FhmmBatchFilter<'_>> {
-        assert!(lanes > 0, "batch filter needs at least one lane");
-        if !self.exact_capable() {
-            return None;
-        }
-        Some(FhmmBatchFilter {
-            fhmm: self,
-            lanes,
-            inv_two_var: self.inv_two_var(),
-            rows: FilterRows::new(self.config.precision),
-            back: Vec::new(),
-            n: 0,
+            pass: ForwardPass::default(),
         })
     }
 
@@ -746,493 +517,44 @@ impl Fhmm {
     }
 }
 
-/// Last-max argmax over a score row — the semantics of
-/// `iter().enumerate().max_by(|a, b| a.1.total_cmp(b.1))` that the decoder
-/// has always used for the final step.
-fn final_arg<T: Score>(delta: &[T]) -> usize {
-    delta
-        .iter()
-        .enumerate()
-        .max_by(|a, b| a.1.total_cmp(b.1))
-        .map(|(j, _)| j)
-        .unwrap_or(0)
-}
-
-/// Single-lane flat Viterbi over any [`TablesView`] (joint space or one
-/// device chain against a residual), using caller-owned arena scratch.
-fn viterbi_single<T: Score>(
-    view: &TablesView<'_, T>,
-    xs: &[f64],
-    inv_two_var: T,
-    scratch: &mut Scratch<'_, T>,
-) -> Vec<usize> {
-    let k = view.k;
-    let n = xs.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    note_arena_use(scratch.back, n * k);
-    let emit = |j: usize, x: f64| -> T {
-        let d = T::from_f64(x) - view.totals[j];
-        -d * d * inv_two_var
-    };
-
-    // Two scratch rows swapped each step; flat u32 backpointers.
-    let delta: &mut Vec<T> = scratch.delta;
-    let next: &mut Vec<T> = scratch.next;
-    let back: &mut Vec<u32> = scratch.back;
-    delta.clear();
-    delta.extend((0..k).map(|j| view.log_init[j] + emit(j, xs[0])));
-    next.clear();
-    next.resize(k, T::NEG_INF);
-    back.clear();
-    back.resize(n * k, 0);
-
-    for t in 1..n {
-        let back_row = &mut back[t * k..(t + 1) * k];
-        for (j, slot) in back_row.iter_mut().enumerate() {
-            let row = &view.log_a_t[j * k..(j + 1) * k];
-            let mut best = T::NEG_INF;
-            let mut arg = 0u32;
-            for (i, (&d, &a)) in delta.iter().zip(row).enumerate() {
-                let v = d + a;
-                if v > best {
-                    best = v;
-                    arg = i as u32;
-                }
-            }
-            next[j] = best + emit(j, xs[t]);
-            *slot = arg;
-        }
-        std::mem::swap(delta, next);
-    }
-    let mut path = vec![0usize; n];
-    path[n - 1] = final_arg(delta);
-    for t in (0..n - 1).rev() {
-        path[t] = back[(t + 1) * k + path[t + 1]] as usize;
-    }
-    path
-}
-
-/// Gathers observation `t` of every lane into the SoA column.
-fn gather_col<T: Score>(col: &mut [T], xs_list: &[&[f64]], t: usize) {
-    for (c, xs) in col.iter_mut().zip(xs_list) {
-        *c = T::from_f64(xs[t]);
-    }
-}
-
-/// The `t = 0` row of the batched recurrence:
-/// `delta[j*B + b] = log_init[j] + emit(j, col[b])`.
-fn batch_init_step<T: Score>(view: &TablesView<'_, T>, col: &[T], delta: &mut [T], inv_two_var: T) {
-    let lanes = col.len();
-    for j in 0..view.k {
-        let tj = view.totals[j];
-        let init_j = view.log_init[j];
-        let delta_j = &mut delta[j * lanes..(j + 1) * lanes];
-        for (dj, &c) in delta_j.iter_mut().zip(col) {
-            let d = c - tj;
-            *dj = init_j + (-d * d * inv_two_var);
-        }
-    }
-}
-
-/// One time step of the batched recurrence in the transposed SoA layout
-/// (`scores[state * B + home]`): for each target state `j` the predecessor
-/// scan is an outer loop over `i` with a contiguous, branch-predictable
-/// inner loop over lanes — the compare-and-select body auto-vectorizes.
-/// Per lane this performs exactly the single-lane kernel's operations in
-/// the same order (first-max on strict `>`, emission added after the
-/// scan), so lane `b` of the batch is byte-identical to a solo decode.
-fn batch_step<T: Score>(
-    view: &TablesView<'_, T>,
-    col: &[T],
-    delta: &[T],
-    next: &mut [T],
-    back_t: &mut [u32],
-    inv_two_var: T,
-) {
-    let lanes = col.len();
-    for j in 0..view.k {
-        let row = &view.log_a_t[j * view.k..(j + 1) * view.k];
-        let next_j = &mut next[j * lanes..(j + 1) * lanes];
-        let back_j = &mut back_t[j * lanes..(j + 1) * lanes];
-        // Predecessor i = 0 seeds the scan (scores are never NaN, so this
-        // equals a NEG_INF fill followed by a strict-`>` first iteration).
-        let a0 = row[0];
-        for (nj, &di) in next_j.iter_mut().zip(&delta[..lanes]) {
-            *nj = di + a0;
-        }
-        back_j.fill(0);
-        for (i, &a) in row.iter().enumerate().skip(1) {
-            let delta_i = &delta[i * lanes..(i + 1) * lanes];
-            let arg = i as u32;
-            for ((nj, bj), &di) in next_j.iter_mut().zip(back_j.iter_mut()).zip(delta_i) {
-                let v = di + a;
-                // Branch-free first-max keeps the compare-and-select body
-                // auto-vectorizable; same strict-`>` result as the single
-                // kernel.
-                let take = v > *nj;
-                *nj = if take { v } else { *nj };
-                *bj = if take { arg } else { *bj };
-            }
-        }
-        let tj = view.totals[j];
-        for (nj, &c) in next_j.iter_mut().zip(col) {
-            let d = c - tj;
-            *nj = *nj + (-d * d * inv_two_var);
-        }
-    }
-}
-
-/// Per-lane termination of the batched decode: last-max argmax over each
-/// lane's final scores (matching [`final_arg`]) followed by the
-/// backpointer walk.
-fn batch_backtrack<T: Score>(
-    k: usize,
-    lanes: usize,
-    n: usize,
-    delta: &[T],
-    back: &[u32],
-) -> Vec<Vec<usize>> {
-    let mut joint = vec![vec![0usize; n]; lanes];
-    for (b, path) in joint.iter_mut().enumerate() {
-        let mut best = delta[b];
-        let mut arg = 0usize;
-        for j in 1..k {
-            let v = delta[j * lanes + b];
-            if best.total_cmp(&v) != Ordering::Greater {
-                best = v;
-                arg = j;
-            }
-        }
-        path[n - 1] = arg;
-        for t in (0..n - 1).rev() {
-            path[t] = back[(t + 1) * k * lanes + path[t + 1] * lanes + b] as usize;
-        }
-    }
-    joint
-}
-
-/// Multi-lane flat Viterbi over any [`TablesView`]: `B = xs_list.len()`
-/// equal-length lanes decoded in one pass through the SoA recurrence.
-/// Returns one state path per lane, each byte-identical to
-/// [`viterbi_single`] on that lane alone.
-fn viterbi_batch<T: Score>(
-    view: &TablesView<'_, T>,
-    xs_list: &[&[f64]],
-    inv_two_var: T,
-    scratch: &mut Scratch<'_, T>,
-) -> Vec<Vec<usize>> {
-    let lanes = xs_list.len();
-    if lanes == 0 {
-        return Vec::new();
-    }
-    let k = view.k;
-    let n = xs_list[0].len();
-    debug_assert!(xs_list.iter().all(|xs| xs.len() == n), "equal-length lanes");
-    if n == 0 {
-        return vec![Vec::new(); lanes];
-    }
-    note_arena_use(scratch.back, n * k * lanes);
-
-    let delta: &mut Vec<T> = scratch.delta;
-    let next: &mut Vec<T> = scratch.next;
-    let col: &mut Vec<T> = scratch.col;
-    let back: &mut Vec<u32> = scratch.back;
-    delta.clear();
-    delta.resize(k * lanes, T::NEG_INF);
-    next.clear();
-    next.resize(k * lanes, T::NEG_INF);
-    col.clear();
-    col.resize(lanes, T::NEG_INF);
-    back.clear();
-    back.resize(n * k * lanes, 0);
-
-    gather_col(col, xs_list, 0);
-    batch_init_step(view, col, delta, inv_two_var);
-    for t in 1..n {
-        gather_col(col, xs_list, t);
-        let back_t = &mut back[t * k * lanes..(t + 1) * k * lanes];
-        batch_step(view, col, delta, next, back_t, inv_two_var);
-        std::mem::swap(delta, next);
-    }
-    batch_backtrack(k, lanes, n, delta, back)
-}
-
-/// The precision-selected score rows of an incremental filter. The batch
-/// observation column rides along (unused by the single-lane filter).
-#[derive(Debug, Clone)]
-enum FilterRows {
-    F64 {
-        delta: Vec<f64>,
-        next: Vec<f64>,
-        col: Vec<f64>,
-    },
-    F32 {
-        delta: Vec<f32>,
-        next: Vec<f32>,
-        col: Vec<f32>,
-    },
-}
-
-impl FilterRows {
-    fn new(precision: DecodePrecision) -> FilterRows {
-        match precision {
-            DecodePrecision::F64 => FilterRows::F64 {
-                delta: Vec::new(),
-                next: Vec::new(),
-                col: Vec::new(),
-            },
-            DecodePrecision::F32 => FilterRows::F32 {
-                delta: Vec::new(),
-                next: Vec::new(),
-                col: Vec::new(),
-            },
-        }
-    }
-}
-
-/// Incremental forward pass of the exact factorial Viterbi decoder: the
-/// same recurrence as the batch decoder, one observation per
-/// [`FhmmFilter::push`]. Constant non-output state (two `k`-wide scratch
-/// rows); the backpointer table grows one row per sample, exactly like the
-/// batch decoder's. Cloning the filter checkpoints the decode mid-trace.
+/// Incremental exact factorial Viterbi: the decoder's forward pass, one
+/// observation per [`FhmmFilter::push`]. Constant non-output state (two
+/// `k`-wide score rows); the backpointer table grows one row per sample,
+/// exactly like the whole-trace decoder's. Cloning the filter checkpoints
+/// the decode mid-trace.
 #[derive(Debug, Clone)]
 pub struct FhmmFilter<'a> {
     fhmm: &'a Fhmm,
     inv_two_var: f64,
-    rows: FilterRows,
-    back: Vec<u32>,
-    n: usize,
-}
-
-/// One `push` of the single-lane filter recurrence at width `T`.
-fn filter_push<T: Score>(
-    fhmm: &Fhmm,
-    delta: &mut Vec<T>,
-    next: &mut Vec<T>,
-    back: &mut Vec<u32>,
-    n: usize,
-    x: f64,
-    inv_two_var_f64: f64,
-) {
-    let view = T::joint_view(fhmm);
-    let k = view.k;
-    let inv_two_var = T::from_f64(inv_two_var_f64);
-    if n == 0 {
-        delta.clear();
-        delta.extend((0..k).map(|j| {
-            let d = T::from_f64(x) - view.totals[j];
-            view.log_init[j] + (-d * d * inv_two_var)
-        }));
-        next.clear();
-        next.resize(k, T::NEG_INF);
-        // Row 0 of the backpointer table is never read; keep it zeroed
-        // to mirror the batch decoder's layout.
-        back.resize(k, 0);
-    } else {
-        let t = n;
-        back.resize((t + 1) * k, 0);
-        for j in 0..k {
-            let row = &view.log_a_t[j * k..(j + 1) * k];
-            let mut best = T::NEG_INF;
-            let mut arg = 0u32;
-            for (i, (&dv, &a)) in delta.iter().zip(row).enumerate() {
-                let v = dv + a;
-                if v > best {
-                    best = v;
-                    arg = i as u32;
-                }
-            }
-            let d = T::from_f64(x) - view.totals[j];
-            next[j] = best + (-d * d * inv_two_var);
-            back[t * k + j] = arg;
-        }
-        std::mem::swap(delta, next);
-    }
-}
-
-/// Backtrack of a completed (or mid-trace) single-lane filter.
-fn filter_backtrack<T: Score>(delta: &[T], back: &[u32], k: usize, n: usize) -> Vec<usize> {
-    let mut joint = vec![0usize; n];
-    joint[n - 1] = final_arg(delta);
-    for t in (0..n - 1).rev() {
-        joint[t] = back[(t + 1) * k + joint[t + 1]] as usize;
-    }
-    joint
+    pass: ForwardPass,
 }
 
 impl FhmmFilter<'_> {
     /// Advances the decode by one aggregate observation (watts).
     pub fn push(&mut self, x: f64) {
-        match &mut self.rows {
-            FilterRows::F64 { delta, next, .. } => filter_push::<f64>(
-                self.fhmm,
-                delta,
-                next,
-                &mut self.back,
-                self.n,
-                x,
-                self.inv_two_var,
-            ),
-            FilterRows::F32 { delta, next, .. } => filter_push::<f32>(
-                self.fhmm,
-                delta,
-                next,
-                &mut self.back,
-                self.n,
-                x,
-                self.inv_two_var,
-            ),
-        }
-        self.n += 1;
+        self.pass
+            .push(self.fhmm.joint_tables(), x, self.inv_two_var);
     }
 
     /// Number of observations pushed so far.
     pub fn len(&self) -> usize {
-        self.n
+        self.pass.n
     }
 
     /// Whether no observation has been pushed yet.
     pub fn is_empty(&self) -> bool {
-        self.n == 0
+        self.pass.n == 0
     }
 
     /// Backtracks the decode so far into per-device state paths —
-    /// byte-identical to what the batch decoder returns for the same
+    /// byte-identical to what [`Fhmm::decode`] returns for the same
     /// observation prefix. Does not consume the filter; feeding may
     /// continue afterwards.
     pub fn paths(&self) -> Vec<Vec<usize>> {
-        let n = self.n;
-        if n == 0 {
+        if self.is_empty() {
             return vec![Vec::new(); self.fhmm.devices.len()];
         }
-        let k = self.fhmm.joint_tables().k;
-        let joint = match &self.rows {
-            FilterRows::F64 { delta, .. } => filter_backtrack::<f64>(delta, &self.back, k, n),
-            FilterRows::F32 { delta, .. } => filter_backtrack::<f32>(delta, &self.back, k, n),
-        };
-        self.fhmm.unpack_paths(&joint)
-    }
-}
-
-/// One `push_row` of the batched filter recurrence at width `T`.
-#[allow(clippy::too_many_arguments)]
-fn batch_filter_push<T: Score>(
-    fhmm: &Fhmm,
-    delta: &mut Vec<T>,
-    next: &mut Vec<T>,
-    col: &mut Vec<T>,
-    back: &mut Vec<u32>,
-    lanes: usize,
-    n: usize,
-    xs: &[f64],
-    inv_two_var_f64: f64,
-) {
-    let view = T::joint_view(fhmm);
-    let k = view.k;
-    let inv_two_var = T::from_f64(inv_two_var_f64);
-    col.clear();
-    col.extend(xs.iter().map(|&x| T::from_f64(x)));
-    if n == 0 {
-        delta.clear();
-        delta.resize(k * lanes, T::NEG_INF);
-        next.clear();
-        next.resize(k * lanes, T::NEG_INF);
-        back.resize(k * lanes, 0);
-        batch_init_step(&view, col, delta, inv_two_var);
-    } else {
-        let t = n;
-        back.resize((t + 1) * k * lanes, 0);
-        let back_t = &mut back[t * k * lanes..(t + 1) * k * lanes];
-        batch_step(&view, col, delta, next, back_t, inv_two_var);
-        std::mem::swap(delta, next);
-    }
-}
-
-/// Incremental forward pass of the *batched* exact Viterbi decoder: `B`
-/// homes advance in lockstep, one synchronous observation row per
-/// [`FhmmBatchFilter::push_row`], in the same SoA layout as
-/// [`Fhmm::decode_batch`]. Cloning the filter checkpoints all lanes at
-/// once; [`FhmmBatchFilter::paths`] backtracks every lane, byte-identical
-/// to a single-home [`FhmmFilter`] fed the same per-lane trace.
-#[derive(Debug, Clone)]
-pub struct FhmmBatchFilter<'a> {
-    fhmm: &'a Fhmm,
-    lanes: usize,
-    inv_two_var: f64,
-    rows: FilterRows,
-    back: Vec<u32>,
-    n: usize,
-}
-
-impl FhmmBatchFilter<'_> {
-    /// Advances every lane by one aggregate observation (watts).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `xs` holds exactly one reading per lane.
-    pub fn push_row(&mut self, xs: &[f64]) {
-        assert_eq!(xs.len(), self.lanes, "one reading per lane");
-        match &mut self.rows {
-            FilterRows::F64 { delta, next, col } => batch_filter_push::<f64>(
-                self.fhmm,
-                delta,
-                next,
-                col,
-                &mut self.back,
-                self.lanes,
-                self.n,
-                xs,
-                self.inv_two_var,
-            ),
-            FilterRows::F32 { delta, next, col } => batch_filter_push::<f32>(
-                self.fhmm,
-                delta,
-                next,
-                col,
-                &mut self.back,
-                self.lanes,
-                self.n,
-                xs,
-                self.inv_two_var,
-            ),
-        }
-        self.n += 1;
-    }
-
-    /// Number of lanes advancing in lockstep.
-    pub fn lanes(&self) -> usize {
-        self.lanes
-    }
-
-    /// Number of observation rows pushed so far.
-    pub fn len(&self) -> usize {
-        self.n
-    }
-
-    /// Whether no observation row has been pushed yet.
-    pub fn is_empty(&self) -> bool {
-        self.n == 0
-    }
-
-    /// Backtracks every lane's decode so far into per-device state paths
-    /// (outer index: lane). Does not consume the filter.
-    pub fn paths(&self) -> Vec<Vec<Vec<usize>>> {
-        let n = self.n;
-        if n == 0 {
-            return vec![vec![Vec::new(); self.fhmm.devices.len()]; self.lanes];
-        }
-        let k = self.fhmm.joint_tables().k;
-        let joints = match &self.rows {
-            FilterRows::F64 { delta, .. } => {
-                batch_backtrack::<f64>(k, self.lanes, n, delta, &self.back)
-            }
-            FilterRows::F32 { delta, .. } => {
-                batch_backtrack::<f32>(k, self.lanes, n, delta, &self.back)
-            }
-        };
-        joints.iter().map(|j| self.fhmm.unpack_paths(j)).collect()
+        self.fhmm.unpack_paths(&self.pass.backtrack())
     }
 }
 
@@ -1427,13 +749,10 @@ mod tests {
     fn flat_chain_matches_nested_table() {
         let t = square_wave(30, 10, 500.0, 300);
         let dev = train_device_hmm("d", &t, 3);
-        let chain = FlatChain::from_hmm(&dev);
+        let chain = FlatTables::from_hmm(&dev);
         for from in 0..dev.n_states() {
             for to in 0..dev.n_states() {
-                assert_eq!(
-                    chain.log_trans_t[to * chain.k + from],
-                    dev.log_trans[from][to]
-                );
+                assert_eq!(chain.log_a_t[to * chain.k + from], dev.log_trans[from][to]);
             }
         }
     }
@@ -1455,24 +774,18 @@ mod tests {
     }
 
     #[test]
-    fn precision_defaults_to_f64() {
-        assert_eq!(FhmmConfig::default().precision, DecodePrecision::F64);
-        assert_eq!(DecodePrecision::default(), DecodePrecision::F64);
-    }
-
-    #[test]
     fn batched_exact_matches_single_for_any_b() {
         let fhmm = two_device_fhmm(FhmmConfig::default());
         assert!(fhmm.exact_capable());
-        for lanes in [1usize, 3, 8] {
+        for count in [1usize, 3, 8] {
             let meters: Vec<PowerTrace> =
-                (0..lanes).map(|s| noisy_meter(s as u64, 300).2).collect();
+                (0..count).map(|s| noisy_meter(s as u64, 300).2).collect();
             let refs: Vec<&PowerTrace> = meters.iter().collect();
             let mut arena = DecodeArena::new();
             let batched = fhmm.decode_batch(&refs, &mut arena);
             for (m, got) in meters.iter().zip(&batched) {
                 let solo = fhmm.decode(m, &mut DecodeArena::new());
-                assert_eq!(*got, solo, "lanes {lanes}");
+                assert_eq!(*got, solo, "count {count}");
             }
         }
     }
@@ -1495,7 +808,7 @@ mod tests {
     }
 
     #[test]
-    fn ragged_batch_groups_by_length() {
+    fn ragged_batch_matches_single() {
         let fhmm = two_device_fhmm(FhmmConfig::default());
         let lens = [300usize, 120, 300, 0, 120];
         let meters: Vec<PowerTrace> = lens
@@ -1514,84 +827,27 @@ mod tests {
     }
 
     #[test]
-    fn batch_filter_matches_batch_decode() {
+    fn filter_matches_decode_and_resumes_from_a_clone() {
         let fhmm = two_device_fhmm(FhmmConfig::default());
-        let meters: Vec<PowerTrace> = (0..3).map(|s| noisy_meter(s as u64, 180).2).collect();
-        let refs: Vec<&PowerTrace> = meters.iter().collect();
-        let mut arena = DecodeArena::new();
-        let batched = fhmm.decode_batch(&refs, &mut arena);
+        let meter = noisy_meter(7, 180).2;
+        let decoded = fhmm.decode(&meter, &mut DecodeArena::new());
 
-        let mut filter = fhmm.batch_filter(3).unwrap();
+        let mut filter = fhmm.filter().unwrap();
         let mut checkpoint = None;
-        for t in 0..180 {
-            let row: Vec<f64> = meters.iter().map(|m| m.samples()[t]).collect();
-            filter.push_row(&row);
+        for (t, &x) in meter.samples().iter().enumerate() {
+            filter.push(x);
             if t == 90 {
                 checkpoint = Some(filter.clone());
             }
         }
-        assert_eq!(filter.paths(), batched);
+        assert_eq!(filter.paths(), decoded);
 
         // Restoring the checkpoint and replaying the tail reproduces it.
         let mut restored = checkpoint.unwrap();
-        for t in 91..180 {
-            let row: Vec<f64> = meters.iter().map(|m| m.samples()[t]).collect();
-            restored.push_row(&row);
+        for &x in &meter.samples()[91..] {
+            restored.push(x);
         }
-        assert_eq!(restored.paths(), batched);
-    }
-
-    #[test]
-    fn f32_path_decodes_close_to_f64() {
-        let f64_model = two_device_fhmm(FhmmConfig::default());
-        let f32_model = two_device_fhmm(FhmmConfig {
-            precision: DecodePrecision::F32,
-            ..FhmmConfig::default()
-        });
-        let mut total = 0usize;
-        let mut disagree = 0usize;
-        for seed in 0..4u64 {
-            let meter = noisy_meter(seed, 400).2;
-            let a = f64_model.decode(&meter, &mut DecodeArena::new());
-            let b = f32_model.decode(&meter, &mut DecodeArena::new());
-            for (pa, pb) in a.iter().zip(&b) {
-                total += pa.len();
-                disagree += pa.iter().zip(pb).filter(|(x, y)| x != y).count();
-            }
-        }
-        let rate = disagree as f64 / total as f64;
-        assert!(rate < 0.02, "f32 disagreement rate {rate}");
-    }
-
-    #[test]
-    fn f32_batch_matches_f32_single() {
-        let fhmm = two_device_fhmm(FhmmConfig {
-            precision: DecodePrecision::F32,
-            ..FhmmConfig::default()
-        });
-        let meters: Vec<PowerTrace> = (0..5).map(|s| noisy_meter(s as u64, 200).2).collect();
-        let refs: Vec<&PowerTrace> = meters.iter().collect();
-        let batched = fhmm.decode_batch(&refs, &mut DecodeArena::new());
-        for (m, got) in meters.iter().zip(&batched) {
-            assert_eq!(*got, fhmm.decode(m, &mut DecodeArena::new()));
-        }
-    }
-
-    #[test]
-    fn filter_precision_follows_config() {
-        // Chunked filter pushes must reproduce the batch decode under F32
-        // too (the stream layer relies on this equivalence).
-        let fhmm = two_device_fhmm(FhmmConfig {
-            precision: DecodePrecision::F32,
-            ..FhmmConfig::default()
-        });
-        let meter = noisy_meter(7, 150).2;
-        let batch = fhmm.decode(&meter, &mut DecodeArena::new());
-        let mut filter = fhmm.filter().unwrap();
-        for &x in meter.samples() {
-            filter.push(x);
-        }
-        assert_eq!(filter.paths(), batch);
+        assert_eq!(restored.paths(), decoded);
     }
 
     #[test]

@@ -1,18 +1,14 @@
-//! Property tests of the multi-home batched decode kernels.
+//! Property tests of the batch decode entry points.
 //!
-//! The batching contract says: for any number of lanes, any batch
-//! grouping, and any finite input watts — model-matched or not — the
-//! batched f64 kernels return byte-identical paths to the single-home
-//! decoder, ragged lane lengths included (lanes are grouped by length
-//! internally). The f32 fast path keeps the same batch-vs-single
-//! identity at its own precision and stays inside the disagreement band
-//! pinned by the `accuracy.f32-decode-close` claim.
+//! The batching contract says: for any number of meters, any batch
+//! grouping, and any finite input watts — model-matched or not —
+//! `decode_batch` and `disaggregate_batch` return byte-identical results
+//! to the single-home decoder, ragged meter lengths included.
 
 use std::sync::OnceLock;
 
-use nilm::{train_device_hmm, DecodeArena, DecodePrecision, Fhmm, FhmmConfig};
+use nilm::{train_device_hmm, DecodeArena, Fhmm, FhmmConfig};
 use proptest::prelude::*;
-use timeseries::rng::{normal, seeded_rng};
 use timeseries::{PowerTrace, Resolution, Timestamp};
 
 fn square_wave(period: usize, on: usize, watts: f64, len: usize) -> PowerTrace {
@@ -53,19 +49,6 @@ fn icm_fhmm() -> &'static Fhmm {
     })
 }
 
-fn f32_fhmm() -> &'static Fhmm {
-    static MODEL: OnceLock<Fhmm> = OnceLock::new();
-    MODEL.get_or_init(|| {
-        Fhmm::with_config(
-            devices(),
-            FhmmConfig {
-                precision: DecodePrecision::F32,
-                ..FhmmConfig::default()
-            },
-        )
-    })
-}
-
 fn traces(xs: &[Vec<f64>]) -> Vec<PowerTrace> {
     xs.iter()
         .map(|x| PowerTrace::new(Timestamp::ZERO, Resolution::ONE_MINUTE, x.clone()).unwrap())
@@ -90,7 +73,7 @@ fn assert_batch_identical(fhmm: &Fhmm, meters: &[PowerTrace]) {
 }
 
 proptest! {
-    /// Exact Viterbi: any lane count, ragged lengths, arbitrary watts.
+    /// Exact Viterbi: any meter count, ragged lengths, arbitrary watts.
     #[test]
     fn batched_exact_identical_to_single(
         xs in prop::collection::vec(
@@ -99,8 +82,7 @@ proptest! {
         assert_batch_identical(exact_fhmm(), &traces(&xs));
     }
 
-    /// ICM fallback: the batched Gauss-Seidel sweep replicates the serial
-    /// single-home sweep lane by lane.
+    /// ICM fallback: every meter in the batch gets the single-home sweep.
     #[test]
     fn batched_icm_identical_to_single(
         xs in prop::collection::vec(
@@ -109,17 +91,7 @@ proptest! {
         assert_batch_identical(icm_fhmm(), &traces(&xs));
     }
 
-    /// The batch-vs-single identity holds at f32 precision too: the fast
-    /// path may disagree with f64, never with its own single-home form.
-    #[test]
-    fn batched_f32_identical_to_single_f32(
-        xs in prop::collection::vec(
-            prop::collection::vec(0.0f64..3_000.0, 1..80), 1..7),
-    ) {
-        assert_batch_identical(f32_fhmm(), &traces(&xs));
-    }
-
-    /// Equal-length lanes decoded as one group must equal the same lanes
+    /// Equal-length meters decoded as one batch must equal the same meters
     /// decoded through any batch split (ragged last batch included) —
     /// this is what lets the fleet layer pick its shard size freely.
     #[test]
@@ -138,34 +110,4 @@ proptest! {
             .collect();
         prop_assert_eq!(whole, sharded);
     }
-}
-
-/// Ties the f32 fast path to the `accuracy.f32-decode-close` claim band
-/// (state disagreement vs f64 < 2%) across 8 seeds of model-matched
-/// noisy meters — the same band `check_claims --seeds 8` sweeps.
-#[test]
-fn f32_disagreement_within_claim_band_across_8_seeds() {
-    let f64_model = exact_fhmm();
-    let f32_model = f32_fhmm();
-    let mut arena = DecodeArena::new();
-    let mut total = 0usize;
-    let mut disagree = 0usize;
-    for seed in 0..8u64 {
-        let mut rng = seeded_rng(seed);
-        let meter = square_wave(40, 15, 150.0, 400)
-            .checked_add(&square_wave(90, 30, 1_000.0, 400))
-            .unwrap()
-            .map(|w| (w + normal(&mut rng, 0.0, 25.0)).max(0.0));
-        let a = f64_model.decode(&meter, &mut arena);
-        let b = f32_model.decode(&meter, &mut arena);
-        for (pa, pb) in a.iter().zip(&b) {
-            total += pa.len();
-            disagree += pa.iter().zip(pb).filter(|(x, y)| x != y).count();
-        }
-    }
-    let rate = disagree as f64 / total as f64;
-    assert!(
-        rate < 0.02,
-        "f32 state disagreement rate {rate} breaches the claim band"
-    );
 }

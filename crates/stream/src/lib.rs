@@ -54,7 +54,7 @@ pub use chunk::{dense_samples, faulty_samples, Sample, StreamFill, StreamSpec};
 pub use defense_stream::{BatteryStream, ChprStream, DefenseStream};
 pub use ingest::{FillCheckpoint, WindowCheckpoint};
 pub use netsim_stream::{pair_accuracy, FingerprintStream, GatewayStream};
-pub use nilm_stream::{FhmmBatchStream, FhmmStream, PowerPlayStream};
+pub use nilm_stream::{FhmmStream, PowerPlayStream};
 pub use niom_stream::{HmmStream, LogisticStream, ThresholdStream};
 
 /// Per-chunk ingestion receipt: what [`StreamState::feed`] accepted.

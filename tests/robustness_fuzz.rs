@@ -11,7 +11,7 @@ use iot_privacy_suite::netsim::fingerprint::labelled_examples;
 use iot_privacy_suite::netsim::{
     simulate_home_network, DeviceType, GatewayPolicy, NaiveBayes, SmartGateway,
 };
-use iot_privacy_suite::nilm::{Disaggregator, Fhmm, PowerPlay};
+use iot_privacy_suite::nilm::{DeviceHmm, Disaggregator, Fhmm, FhmmConfig, PowerPlay};
 use iot_privacy_suite::niom::{HmmDetector, OccupancyDetector, ThresholdDetector};
 use iot_privacy_suite::stream::{
     dense_samples, faulty_samples, feed_partitioned, BatteryStream, ChprStream, FhmmStream, Sample,
@@ -38,6 +38,21 @@ fn raw_samples() -> impl Strategy<Value = Vec<f64>> {
 /// A trained FHMM over a couple of tiny two-state device models, reused
 /// across cases (training is deterministic and the models are small).
 fn tiny_fhmm() -> Fhmm {
+    Fhmm::new(tiny_models())
+}
+
+/// The same models forced onto the buffered ICM decoder.
+fn tiny_icm_fhmm() -> Fhmm {
+    Fhmm::with_config(
+        tiny_models(),
+        FhmmConfig {
+            max_exact_states: 1,
+            ..FhmmConfig::default()
+        },
+    )
+}
+
+fn tiny_models() -> Vec<DeviceHmm> {
     use iot_privacy_suite::nilm::train_device_hmm;
     let on_off = PowerTrace::from_fn(Timestamp::ZERO, Resolution::ONE_MINUTE, 1_440, |i| {
         if (i / 30) % 2 == 0 {
@@ -47,10 +62,10 @@ fn tiny_fhmm() -> Fhmm {
         }
     });
     let steady = PowerTrace::constant(Timestamp::ZERO, Resolution::ONE_MINUTE, 1_440, 90.0);
-    Fhmm::new(vec![
+    vec![
         train_device_hmm("burst", &on_off, 2),
         train_device_hmm("base", &steady, 2),
-    ])
+    ]
 }
 
 proptest! {
@@ -170,12 +185,16 @@ proptest! {
     }
 
     /// Gap-marked partitions match the batch fill + pipeline composition
-    /// for every fill policy, at any split.
+    /// for every fill policy, at any split. The FHMM streams (exact filter
+    /// and buffered ICM) are also cloned at `checkpoint_at` as a
+    /// checkpoint: the clone and the original both resume to the batch
+    /// output.
     #[test]
     fn faulted_stream_partitions_match_batch_fill(
         partition in prop::collection::vec(0usize..120, 0..20),
         intensity in 0.05f64..0.6,
         seed in any::<u64>(),
+        checkpoint_at in 0usize..700,
     ) {
         let trace = PowerTrace::from_fn(Timestamp::ZERO, Resolution::ONE_MINUTE, 700, |i| {
             90.0 + ((i % 37) as f64) * 12.0
@@ -184,12 +203,26 @@ proptest! {
         let samples = faulty_samples(&faulted);
         let spec = StreamSpec::of_faulty(&faulted);
         let detector = ThresholdDetector::default();
+        let fhmms = [tiny_fhmm(), tiny_icm_fhmm()];
+        let cut = checkpoint_at.min(samples.len());
         for (stream_fill, batch_fill) in
             [(StreamFill::Zero, GapFill::Zero), (StreamFill::Hold, GapFill::Hold)]
         {
+            let filled = faulted.fill(batch_fill);
             let mut s = ThresholdStream::new(detector.clone(), spec).with_fill(stream_fill);
             feed_partitioned(&mut s, &samples, &partition);
-            prop_assert_eq!(s.finalize(), detector.detect(&faulted.fill(batch_fill)));
+            prop_assert_eq!(s.finalize(), detector.detect(&filled));
+
+            for fhmm in &fhmms {
+                let batch = fhmm.disaggregate(&filled);
+                let mut n = FhmmStream::new(fhmm, spec).with_fill(stream_fill);
+                feed_partitioned(&mut n, &samples[..cut], &partition);
+                let mut resumed = n.clone();
+                feed_partitioned(&mut resumed, &samples[cut..], &partition);
+                n.feed(&samples[cut..]);
+                prop_assert_eq!(resumed.finalize(), batch.clone());
+                prop_assert_eq!(n.finalize(), batch);
+            }
         }
     }
 

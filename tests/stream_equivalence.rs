@@ -31,7 +31,7 @@ use iot_privacy_suite::stream::{
 };
 use iot_privacy_suite::streaming::StreamingScenario;
 use iot_privacy_suite::timeseries::rng::{derive_seed, seeded_rng};
-use iot_privacy_suite::timeseries::{PowerTrace, Resolution, Timestamp};
+use iot_privacy_suite::timeseries::{PipelineError, PowerTrace, Resolution, Timestamp};
 use iot_privacy_suite::{
     run_fleet_streaming, run_fleet_streaming_serial, run_fleet_supervised, SupervisorConfig,
 };
@@ -139,6 +139,24 @@ fn fhmm_streams_match_batch_in_both_decode_modes() {
         assert!(!s.incremental());
         feed_chunked(&mut s, &samples, chunk_len);
         assert_eq!(s.finalize(), icm_batch, "icm fhmm, chunk {chunk_len}");
+    }
+
+    // A non-gap NaN reading with no fill policy: both decode modes reject
+    // it with the error the batch path gives when it builds the trace.
+    let mut raw = meter.samples().to_vec();
+    raw[300] = f64::NAN;
+    let batch_err = PowerTrace::new(meter.start(), meter.resolution(), raw.clone())
+        .map_err(PipelineError::from)
+        .unwrap_err();
+    let with_nan = dense_samples(&raw);
+    for chunk_len in CHUNK_LENS {
+        let mut exact_stream = FhmmStream::new(&exact, spec);
+        let mut icm_stream = FhmmStream::new(&icm, spec);
+        feed_chunked(&mut exact_stream, &with_nan, chunk_len);
+        feed_chunked(&mut icm_stream, &with_nan, chunk_len);
+        let exact_err = exact_stream.try_finalize().unwrap_err();
+        assert_eq!(exact_err, icm_stream.try_finalize().unwrap_err());
+        assert_eq!(exact_err, batch_err, "chunk {chunk_len}");
     }
 }
 
