@@ -18,7 +18,7 @@ use iot_privacy::stream::{
 };
 use iot_privacy::streaming::StreamingScenario;
 use iot_privacy::timeseries::PowerTrace;
-use iot_privacy::{run_fleet, run_fleet_streaming, SupervisorConfig};
+use iot_privacy::{run_fleet_supervised_with, HomeAttempt, SupervisorConfig};
 
 fn bench_hot_paths(c: &mut Criterion) {
     let tracked = Catalogue::figure2();
@@ -61,8 +61,12 @@ fn bench_hot_paths(c: &mut Criterion) {
         b.iter(|| kernel.decode_batch(&refs, &mut arena))
     });
 
+    let sup = SupervisorConfig::default();
+    let batch_home = |a: HomeAttempt| EnergyScenario::new(a.seed).days(1).run();
+    let stream_home = |a: HomeAttempt| StreamingScenario::new(a.seed).days(1).chunk_len(60).run();
+
     c.bench_function("fleet/10_homes_1_day", |b| {
-        b.iter(|| run_fleet(10, 7, |seed| EnergyScenario::new(seed).days(1)))
+        b.iter(|| run_fleet_supervised_with(10, 7, sup, batch_home))
     });
 
     // Same fleet with the obs layer recording — the measured number backs
@@ -72,7 +76,7 @@ fn bench_hot_paths(c: &mut Criterion) {
         iot_privacy::obs::enable();
         b.iter(|| {
             iot_privacy::obs::reset();
-            run_fleet(10, 7, |seed| EnergyScenario::new(seed).days(1))
+            run_fleet_supervised_with(10, 7, sup, batch_home)
         });
         iot_privacy::obs::disable();
         iot_privacy::obs::reset();
@@ -104,11 +108,7 @@ fn bench_hot_paths(c: &mut Criterion) {
     // The stream_throughput experiment's inner loop: a supervised
     // streaming fleet at one-hour chunks.
     c.bench_function("stream/fleet_10_homes_1_day_chunk60", |b| {
-        b.iter(|| {
-            run_fleet_streaming(10, 7, SupervisorConfig::default(), |a| {
-                StreamingScenario::new(a.seed).days(1).chunk_len(60)
-            })
-        })
+        b.iter(|| run_fleet_supervised_with(10, 7, sup, stream_home))
     });
 
     // Same streaming fleet with the obs layer recording — what
@@ -117,9 +117,7 @@ fn bench_hot_paths(c: &mut Criterion) {
         iot_privacy::obs::enable();
         b.iter(|| {
             iot_privacy::obs::reset();
-            run_fleet_streaming(10, 7, SupervisorConfig::default(), |a| {
-                StreamingScenario::new(a.seed).days(1).chunk_len(60)
-            })
+            run_fleet_supervised_with(10, 7, sup, stream_home)
         });
         iot_privacy::obs::disable();
         iot_privacy::obs::reset();

@@ -30,7 +30,7 @@ use iot_privacy::niom::{OccupancyDetector, ThresholdDetector};
 use iot_privacy::scenario::EnergyScenario;
 use iot_privacy::timeseries::rng::seeded_rng;
 use iot_privacy::timeseries::{LabelSeries, Resolution, Timestamp};
-use iot_privacy::{run_fleet_supervised, HomeAttempt, SupervisorConfig};
+use iot_privacy::{run_fleet_supervised_with, HomeAttempt, SupervisorConfig};
 
 /// The swept corruption levels (fraction of the trace each fault family
 /// targets; see [`faults::FaultPlan::power_profile`]).
@@ -121,7 +121,7 @@ pub fn run(cfg: &RunConfig) -> Report {
     }
 
     // -- fleet supervision under injected panics --------------------------
-    let supervised = run_fleet_supervised(
+    let supervised = run_fleet_supervised_with(
         FLEET_HOMES,
         cfg.seed(7),
         SupervisorConfig::default(),
@@ -129,7 +129,7 @@ pub fn run(cfg: &RunConfig) -> Report {
             if attempt.home % 10 == 3 {
                 panic!("injected fault in home {}", attempt.home);
             }
-            EnergyScenario::new(attempt.seed).days(1)
+            EnergyScenario::new(attempt.seed).days(1).run()
         },
     )
     .expect("some homes survive");

@@ -2,9 +2,10 @@
 //! the serial reference at fleet sizes 10, 100, and 1000.
 //!
 //! Each home is an independent 1-day Figure-6 scenario (simulate → NIOM
-//! attack → CHPr → attack again). The parallel and serial engines produce
-//! bit-identical results (asserted here on every run); the only thing the
-//! thread pool buys is wall-clock time.
+//! attack → CHPr → attack again) run through the supervised fleet runner.
+//! The parallel runner and its serial reference produce bit-identical
+//! results (asserted here on every run); the only thing the thread pool
+//! buys is wall-clock time.
 //!
 //! With the [`obs`] layer enabled (the binary's `--metrics <path>` flag)
 //! the run additionally breaks each parallel run down per pipeline stage
@@ -30,7 +31,9 @@ use super::{Report, RunConfig};
 use crate::table::{Cell, ThroughputTable};
 use fleetd::{extrapolate, top_rung, FleetService, FleetdConfig, Observation};
 use iot_privacy::scenario::EnergyScenario;
-use iot_privacy::{obs, run_fleet, run_fleet_serial};
+use iot_privacy::{
+    obs, run_fleet_supervised_with, run_fleet_supervised_with_serial, HomeAttempt, SupervisorConfig,
+};
 use std::time::Instant;
 
 const ROOT_SEED: u64 = 7;
@@ -70,7 +73,8 @@ fn stage_deltas(before: &obs::MetricsReport, after: &obs::MetricsReport) -> Vec<
 /// Runs the fleet-throughput benchmark.
 pub fn run(cfg: &RunConfig) -> Report {
     let root_seed = cfg.seed(ROOT_SEED);
-    let build = move |seed: u64| EnergyScenario::new(seed).days(1);
+    let run_home = |a: HomeAttempt| EnergyScenario::new(a.seed).days(1).run();
+    let sup = SupervisorConfig::default();
     let threads = rayon::current_num_threads();
 
     let mut rows = Vec::new();
@@ -78,14 +82,16 @@ pub fn run(cfg: &RunConfig) -> Report {
     let mut stage_rows = Vec::new();
     for homes in [10usize, 100, 1000] {
         let t = Instant::now();
-        let serial = run_fleet_serial(homes, root_seed, build).expect("non-empty fleet");
+        let serial = run_fleet_supervised_with_serial(homes, root_seed, sup, run_home)
+            .expect("non-empty fleet");
         let serial_s = t.elapsed().as_secs_f64();
 
         // Snapshot around the parallel run only, so the per-stage delta
         // excludes the serial reference's contribution.
         let before = obs::is_enabled().then(obs::snapshot);
         let t = Instant::now();
-        let parallel = run_fleet(homes, root_seed, build).expect("non-empty fleet");
+        let parallel =
+            run_fleet_supervised_with(homes, root_seed, sup, run_home).expect("non-empty fleet");
         let parallel_s = t.elapsed().as_secs_f64();
 
         assert_eq!(

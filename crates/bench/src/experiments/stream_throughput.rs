@@ -4,14 +4,15 @@
 //!
 //! **Fleet ingestion** — samples/sec through chunked ingestion at fleet
 //! sizes 10, 100, and 1000 homes, swept over chunk length. The reference
-//! is the batch [`run_fleet_supervised`] fleet, which rebuilds each home's
-//! world and runs the whole pipeline; the streaming side models the actual
-//! deployment shape — readings arrive from outside — so each home is
-//! simulated once up front (untimed) and the timed region is chunked
-//! admission through [`StreamingScenario::run_on`] under the same
-//! supervisor. Every streaming run is asserted bit-identical to the batch
-//! fleet: chunk length and the admission schedule move wall-clock, never
-//! output (the `stream` crate's batch-equivalence contract).
+//! is the batch fleet — [`run_fleet_supervised_with`] over
+//! [`EnergyScenario::run`] — which rebuilds each home's world and runs the
+//! whole pipeline; the streaming side models the actual deployment shape
+//! (readings arrive from outside), so each home is simulated once up
+//! front (untimed) and the timed region is chunked admission through
+//! [`StreamingScenario::run_on`] under the same supervisor. Every
+//! streaming run is asserted bit-identical to the batch fleet: chunk
+//! length and the admission schedule move wall-clock, never output (the
+//! `stream` crate's batch-equivalence contract).
 //!
 //! **FHMM decode** — the disaggregation hot path in isolation: one
 //! 16-joint-state FHMM decoding 128 independent 1-day meters, one
@@ -37,7 +38,7 @@ use iot_privacy::scenario::EnergyScenario;
 use iot_privacy::streaming::StreamingScenario;
 use iot_privacy::timeseries::rng::{derive_seed, normal, seeded_rng};
 use iot_privacy::timeseries::{PowerTrace, Resolution, Timestamp};
-use iot_privacy::{obs, run_fleet_supervised, run_fleet_supervised_with, SupervisorConfig};
+use iot_privacy::{obs, run_fleet_supervised_with, SupervisorConfig};
 use std::time::Instant;
 
 const ROOT_SEED: u64 = 19;
@@ -76,8 +77,8 @@ pub fn run(cfg: &RunConfig) -> Report {
     let mut json = Vec::new();
     for homes in [10usize, 100, 1000] {
         let t = Instant::now();
-        let batch = run_fleet_supervised(homes, root_seed, SupervisorConfig::default(), |a| {
-            EnergyScenario::new(a.seed).days(1)
+        let batch = run_fleet_supervised_with(homes, root_seed, SupervisorConfig::default(), |a| {
+            EnergyScenario::new(a.seed).days(1).run()
         })
         .expect("non-empty fleet");
         let batch_s = t.elapsed().as_secs_f64();

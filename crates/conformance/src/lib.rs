@@ -26,6 +26,6 @@ pub mod registry;
 pub mod report;
 pub mod runner;
 
-pub use registry::{Band, Claim};
+pub use registry::{Band, Claim, Extract};
 pub use report::{ClaimOutcome, ConformanceReport, GoldenOutcome};
 pub use runner::{run, run_claims, Options};

@@ -3,11 +3,12 @@
 //! One [`Claim`] per quantitative statement the paper makes that the
 //! suite reproduces. Each claim names the experiment whose JSON output it
 //! reads, scalarizes that output with an extractor, and constrains the
-//! scalar with a [`Band`]. Ordering claims ("the defended MCC sits well
-//! below the undefended MCC") are expressed as a *margin* extractor — the
-//! difference or ratio of the two quantities — constrained by
-//! [`Band::AtLeast`]/[`Band::AtMost`], so every claim reduces to one
-//! number against one band.
+//! scalar with a [`Band`]. Most claims read one JSON field by path
+//! ([`Extract::Num`], [`Extract::Flag`]). Ordering claims ("the defended
+//! MCC sits well below the undefended MCC") are expressed as a *margin*
+//! extractor ([`Extract::Fn`]) — the difference or ratio of the two
+//! quantities — constrained by [`Band::AtLeast`]/[`Band::AtMost`], so
+//! every claim reduces to one number against one band.
 
 use serde_json::Value;
 
@@ -99,11 +100,40 @@ pub struct Claim {
     pub experiment: &'static str,
     /// The tolerance band the extracted metric must satisfy.
     pub band: Band,
-    /// Scalarizes the experiment's JSON output into the checked metric.
-    pub extract: fn(&Value) -> Result<f64, String>,
+    /// Scalarizes the experiment's JSON output into the checked metric;
+    /// read it through [`Claim::measure`].
+    pub extract: Extract,
     /// Whether the owning experiment is fast enough (in debug builds) to
     /// run in the `cargo test` single-seed tier.
     pub cheap: bool,
+}
+
+/// How a claim scalarizes its experiment's JSON output.
+#[derive(Debug, Clone, Copy)]
+pub enum Extract {
+    /// The number at a dotted path, e.g. `summary.dp_cost_min_ratio`.
+    Num(&'static str),
+    /// The boolean at a dotted path, read as 1.0 (`true`) or 0.0.
+    Flag(&'static str),
+    /// A fold or margin over several fields.
+    Fn(fn(&Value) -> Result<f64, String>),
+}
+
+impl Claim {
+    /// The checked metric of this claim, read from the experiment's JSON
+    /// output.
+    ///
+    /// # Errors
+    ///
+    /// Names the missing or mistyped field, e.g.
+    /// ``missing numeric field `summary.dp_cost_min_ratio` ``.
+    pub fn measure(&self, output: &Value) -> Result<f64, String> {
+        match self.extract {
+            Extract::Num(path) => num(output, path),
+            Extract::Flag(path) => flag(output, path),
+            Extract::Fn(f) => f(output),
+        }
+    }
 }
 
 impl std::fmt::Debug for Claim {
@@ -119,112 +149,80 @@ impl std::fmt::Debug for Claim {
 
 // ---- extractor helpers ------------------------------------------------
 
-fn num(v: &Value, key: &str) -> Result<f64, String> {
-    v.get(key)
-        .and_then(Value::as_f64)
-        .ok_or_else(|| format!("missing numeric field `{key}`"))
+/// The value at a dotted path, e.g. `summary.dp_cost_min_ratio`.
+fn at<'a>(v: &'a Value, path: &str) -> Option<&'a Value> {
+    path.split('.').try_fold(v, |v, key| v.get(key))
 }
 
-fn nested_num(v: &Value, outer: &str, inner: &str) -> Result<f64, String> {
-    v.get(outer)
-        .and_then(|o| o.get(inner))
+fn num(v: &Value, path: &str) -> Result<f64, String> {
+    at(v, path)
         .and_then(Value::as_f64)
-        .ok_or_else(|| format!("missing numeric field `{outer}.{inner}`"))
+        .ok_or_else(|| format!("missing numeric field `{path}`"))
 }
 
-fn flag(v: &Value, key: &str) -> Result<f64, String> {
-    v.get(key)
+fn flag(v: &Value, path: &str) -> Result<f64, String> {
+    at(v, path)
         .and_then(Value::as_bool)
         .map(|b| if b { 1.0 } else { 0.0 })
-        .ok_or_else(|| format!("missing boolean field `{key}`"))
+        .ok_or_else(|| format!("missing boolean field `{path}`"))
 }
 
-fn items<'a>(v: &'a Value, key: &str) -> Result<&'a [Value], String> {
-    v.get(key)
+/// AND of boolean fields: 1.0 iff every path holds `true`.
+fn all_flags(v: &Value, paths: &[&str]) -> Result<f64, String> {
+    let mut all_true = 1.0;
+    for path in paths {
+        all_true = f64::min(all_true, flag(v, path)?);
+    }
+    Ok(all_true)
+}
+
+fn items<'a>(v: &'a Value, path: &str) -> Result<&'a [Value], String> {
+    at(v, path)
         .and_then(Value::as_array)
-        .ok_or_else(|| format!("missing array field `{key}`"))
+        .ok_or_else(|| format!("missing array field `{path}`"))
 }
 
-/// Folds `f(item)` over an array field, keeping the minimum.
-fn min_over(
+/// Folds `f(item)` over an array field with `pick` (`f64::min` or
+/// `f64::max`); NaN items are skipped, and the result must be finite.
+fn fold_over(
     v: &Value,
-    key: &str,
+    path: &str,
+    pick: fn(f64, f64) -> f64,
     f: impl Fn(&Value) -> Result<f64, String>,
 ) -> Result<f64, String> {
-    let mut best = f64::INFINITY;
-    for item in items(v, key)? {
-        best = best.min(f(item)?);
+    let mut acc: Option<f64> = None;
+    for item in items(v, path)? {
+        let x = f(item)?;
+        acc = Some(acc.map_or(x, |acc| pick(acc, x)));
     }
-    if best.is_finite() {
-        Ok(best)
-    } else {
-        Err(format!("array field `{key}` yielded no finite values"))
-    }
+    acc.filter(|acc| acc.is_finite())
+        .ok_or_else(|| format!("array field `{path}` yielded no finite values"))
 }
 
-/// Folds `f(item)` over an array field, keeping the maximum.
-fn max_over(
-    v: &Value,
-    key: &str,
-    f: impl Fn(&Value) -> Result<f64, String>,
-) -> Result<f64, String> {
-    let mut best = f64::NEG_INFINITY;
-    for item in items(v, key)? {
-        best = best.max(f(item)?);
-    }
-    if best.is_finite() {
-        Ok(best)
-    } else {
-        Err(format!("array field `{key}` yielded no finite values"))
-    }
-}
-
-/// The `mcc` at a given `effort` setting in the privacy-knob sweep.
-fn knob_mcc_at(v: &Value, effort: f64) -> Result<f64, String> {
+/// `field` of the `points` sweep entry whose `key` equals `value`.
+fn point_where(v: &Value, key: &str, value: f64, field: &str) -> Result<f64, String> {
     for point in items(v, "points")? {
-        if num(point, "effort")? == effort {
-            return num(point, "mcc");
+        if num(point, key)? == value {
+            return num(point, field);
         }
     }
-    Err(format!("no sweep point with effort == {effort}"))
+    Err(format!("no sweep point with {key} == {value}"))
 }
 
-/// The `mean_abs_err_kwh` at a given `epsilon` in the DP sweep.
-fn dp_err_at(v: &Value, epsilon: f64) -> Result<f64, String> {
-    for point in items(v, "points")? {
-        if num(point, "epsilon")? == epsilon {
-            return num(point, "mean_abs_err_kwh");
-        }
-    }
-    Err(format!("no sweep point with epsilon == {epsilon}"))
-}
-
-// ---- per-claim extractors ---------------------------------------------
-// Named functions (not closures) because `Claim::extract` is a plain fn
+// ---- folds and margins ------------------------------------------------
+// Named functions (not closures) because `Extract::Fn` holds a plain fn
 // pointer, which keeps the registry a flat `static` array.
 
 fn fig1_power_gap(v: &Value) -> Result<f64, String> {
-    min_over(v, "homes", |h| {
+    fold_over(v, "homes", f64::min, |h| {
         Ok(num(h, "occupied_mean_w")? - num(h, "empty_mean_w")?)
     })
 }
 
 fn fig1_variance_gap(v: &Value) -> Result<f64, String> {
-    min_over(v, "homes", |h| {
+    fold_over(v, "homes", f64::min, |h| {
         Ok(num(h, "occupied_sigma_w")? - num(h, "empty_sigma_w")?)
     })
-}
-
-fn niom_accuracy_mean(v: &Value) -> Result<f64, String> {
-    nested_num(v, "threshold_accuracy", "mean")
-}
-
-fn niom_accuracy_min(v: &Value) -> Result<f64, String> {
-    nested_num(v, "threshold_accuracy", "min")
-}
-
-fn niom_accuracy_max(v: &Value) -> Result<f64, String> {
-    nested_num(v, "threshold_accuracy", "max")
 }
 
 fn fig2_margin_vs_fhmm(v: &Value) -> Result<f64, String> {
@@ -258,18 +256,6 @@ fn fig2_powerplay_mean_error(v: &Value) -> Result<f64, String> {
     Ok(total / devices.len() as f64)
 }
 
-fn fig5_weatherman_max(v: &Value) -> Result<f64, String> {
-    num(v, "weatherman_max_km")
-}
-
-fn fig5_sunspot_median(v: &Value) -> Result<f64, String> {
-    num(v, "sunspot_median_km")
-}
-
-fn fig6_mcc_before(v: &Value) -> Result<f64, String> {
-    num(v, "mcc_before")
-}
-
 fn fig6_mcc_after_abs(v: &Value) -> Result<f64, String> {
     Ok(num(v, "mcc_after")?.abs())
 }
@@ -280,166 +266,107 @@ fn fig6_collapse_margin(v: &Value) -> Result<f64, String> {
     Ok(num(v, "mcc_before")? / 3.0 - num(v, "mcc_after")?)
 }
 
-fn fig6_extra_energy(v: &Value) -> Result<f64, String> {
-    num(v, "extra_energy_kwh")
-}
-
 fn sundance_rmse_ratio(v: &Value) -> Result<f64, String> {
-    max_over(v, "sites", |s| {
+    fold_over(v, "sites", f64::max, |s| {
         Ok(num(s, "rmse_sundance_w")? / num(s, "rmse_ignore_solar_w")?)
     })
 }
 
 fn sundance_energy_ratio_err(v: &Value) -> Result<f64, String> {
-    max_over(v, "sites", |s| {
+    fold_over(v, "sites", f64::max, |s| {
         Ok((num(s, "recovered_energy_ratio")? - 1.0).abs())
     })
 }
 
 fn meter_bills_verify(v: &Value) -> Result<f64, String> {
-    Ok(flag(v, "honest_verifies")?.min(flag(v, "tou_verifies")?))
-}
-
-fn meter_cheat_detected(v: &Value) -> Result<f64, String> {
-    flag(v, "cheat_detected")
-}
-
-fn vacation_hits(v: &Value) -> Result<f64, String> {
-    num(v, "hits")
-}
-
-fn vacation_false_alarms(v: &Value) -> Result<f64, String> {
-    num(v, "false_alarms")
-}
-
-fn sec4_fingerprint_accuracy(v: &Value) -> Result<f64, String> {
-    num(v, "acc_naive_bayes")
-}
-
-fn sec4_shaped_accuracy(v: &Value) -> Result<f64, String> {
-    num(v, "acc_shaped")
-}
-
-fn sec4_compromise_caught(v: &Value) -> Result<f64, String> {
-    flag(v, "compromise_caught")
-}
-
-fn sec4_false_quarantines(v: &Value) -> Result<f64, String> {
-    num(v, "false_quarantines")
+    all_flags(v, &["honest_verifies", "tou_verifies"])
 }
 
 fn knob_mcc_drop(v: &Value) -> Result<f64, String> {
-    Ok(knob_mcc_at(v, 0.0)? - knob_mcc_at(v, 1.0)?)
+    Ok(point_where(v, "effort", 0.0, "mcc")? - point_where(v, "effort", 1.0, "mcc")?)
 }
 
 fn dp_laplace_scaling(v: &Value) -> Result<f64, String> {
-    Ok(dp_err_at(v, 0.1)? / dp_err_at(v, 1.0)?)
+    let err = |epsilon| point_where(v, "epsilon", epsilon, "mean_abs_err_kwh");
+    Ok(err(0.1)? / err(1.0)?)
 }
 
 fn dp_error_monotone(v: &Value) -> Result<f64, String> {
-    Ok(dp_err_at(v, 0.05)? - dp_err_at(v, 5.0)?)
+    let err = |epsilon| point_where(v, "epsilon", epsilon, "mean_abs_err_kwh");
+    Ok(err(0.05)? - err(5.0)?)
 }
 
 fn chpr_best_cadence_margin(v: &Value) -> Result<f64, String> {
-    let best = min_over(v, "points", |p| num(p, "attack_mcc"))?;
+    let best = fold_over(v, "points", f64::min, |p| num(p, "attack_mcc"))?;
     Ok(num(v, "undefended_mcc")? - best)
 }
 
-/// A field from the degradation sweep point at a given fault intensity.
-fn degradation_at(v: &Value, key: &str, intensity: f64, field: &str) -> Result<f64, String> {
-    for point in items(v, key)? {
-        if num(point, "intensity")? == intensity {
-            return num(point, field);
-        }
-    }
-    Err(format!("no `{key}` point with intensity == {intensity}"))
-}
-
 fn robust_attack_mcc_floor(v: &Value) -> Result<f64, String> {
-    min_over(v, "points", |p| num(p, "undefended_mcc"))
+    fold_over(v, "points", f64::min, |p| num(p, "undefended_mcc"))
 }
 
 fn robust_defense_mcc_ceiling(v: &Value) -> Result<f64, String> {
-    max_over(v, "points", |p| Ok(num(p, "defended_mcc")?.abs()))
+    fold_over(v, "points", f64::max, |p| Ok(num(p, "defended_mcc")?.abs()))
 }
 
 fn robust_heavy_gap_fraction(v: &Value) -> Result<f64, String> {
-    degradation_at(v, "points", 0.50, "gap_fraction")
+    point_where(v, "intensity", 0.50, "gap_fraction")
 }
 
 fn robust_fingerprint_floor(v: &Value) -> Result<f64, String> {
-    min_over(v, "network_points", |p| num(p, "fingerprint_accuracy"))
-}
-
-fn robust_quarantined_homes(v: &Value) -> Result<f64, String> {
-    nested_num(v, "fleet", "quarantined")
-}
-
-fn robust_fleet_survivors(v: &Value) -> Result<f64, String> {
-    nested_num(v, "fleet", "survivors")
-}
-
-/// AND of boolean flags inside one section of `stream_equivalence`'s
-/// output: 1.0 iff every named flag is `true`.
-fn nested_flags_all(v: &Value, outer: &str, inners: &[&str]) -> Result<f64, String> {
-    let section = v
-        .get(outer)
-        .ok_or_else(|| format!("missing object field `{outer}`"))?;
-    let mut all_true = 1.0;
-    for inner in inners {
-        all_true = f64::min(all_true, flag(section, inner)?);
-    }
-    Ok(all_true)
-}
-
-fn stream_niom_equal(v: &Value) -> Result<f64, String> {
-    nested_flags_all(v, "niom", &["threshold_equal", "hmm_equal"])
-}
-
-fn stream_nilm_equal(v: &Value) -> Result<f64, String> {
-    nested_flags_all(v, "nilm", &["exact_equal", "icm_equal", "powerplay_equal"])
-}
-
-fn stream_defense_equal(v: &Value) -> Result<f64, String> {
-    nested_flags_all(v, "defense", &["chpr_equal", "battery_equal"])
-}
-
-fn stream_netsim_equal(v: &Value) -> Result<f64, String> {
-    nested_flags_all(v, "netsim", &["fingerprint_equal", "gateway_equal"])
-}
-
-fn stream_faults_equal(v: &Value) -> Result<f64, String> {
-    nested_flags_all(v, "faults", &["hold_equal", "zero_equal", "chpr_equal"])
-}
-
-fn stream_scenario_equal(v: &Value) -> Result<f64, String> {
-    nested_flags_all(v, "scenario", &["equal", "checkpoint_equal"])
-}
-
-fn stream_metric_delta_max(v: &Value) -> Result<f64, String> {
-    num(v, "metric_delta_max")
-}
-
-fn chunked_speedup_min(v: &Value) -> Result<f64, String> {
-    min_over(v, "sizes", |size| {
-        min_over(size, "chunks", |c| num(c, "vs_batch_speedup"))
+    fold_over(v, "network_points", f64::min, |p| {
+        num(p, "fingerprint_accuracy")
     })
 }
 
-/// The `decode` section of `stream_throughput`'s output.
-fn decode_section(v: &Value) -> Result<&Value, String> {
-    v.get("decode")
-        .ok_or_else(|| "missing object field `decode`".to_string())
+fn stream_niom_equal(v: &Value) -> Result<f64, String> {
+    all_flags(v, &["niom.threshold_equal", "niom.hmm_equal"])
+}
+
+fn stream_nilm_equal(v: &Value) -> Result<f64, String> {
+    all_flags(
+        v,
+        &["nilm.exact_equal", "nilm.icm_equal", "nilm.powerplay_equal"],
+    )
+}
+
+fn stream_defense_equal(v: &Value) -> Result<f64, String> {
+    all_flags(v, &["defense.chpr_equal", "defense.battery_equal"])
+}
+
+fn stream_netsim_equal(v: &Value) -> Result<f64, String> {
+    all_flags(v, &["netsim.fingerprint_equal", "netsim.gateway_equal"])
+}
+
+fn stream_faults_equal(v: &Value) -> Result<f64, String> {
+    all_flags(
+        v,
+        &[
+            "faults.hold_equal",
+            "faults.zero_equal",
+            "faults.chpr_equal",
+        ],
+    )
+}
+
+fn stream_scenario_equal(v: &Value) -> Result<f64, String> {
+    all_flags(v, &["scenario.equal", "scenario.checkpoint_equal"])
+}
+
+fn chunked_speedup_min(v: &Value) -> Result<f64, String> {
+    fold_over(v, "sizes", f64::min, |size| {
+        fold_over(size, "chunks", f64::min, |c| num(c, "vs_batch_speedup"))
+    })
 }
 
 fn decode_throughput_max(v: &Value) -> Result<f64, String> {
-    max_over(decode_section(v)?, "kernels", |k| num(k, "samples_per_sec"))
+    fold_over(v, "decode.kernels", f64::max, |k| num(k, "samples_per_sec"))
 }
 
 fn decode_batched_identical(v: &Value) -> Result<f64, String> {
     let mut all_match = 1.0;
     let mut seen = 0;
-    for kernel in items(decode_section(v)?, "kernels")? {
+    for kernel in items(v, "decode.kernels")? {
         if kernel.get("matches_single").is_some() {
             all_match = f64::min(all_match, flag(kernel, "matches_single")?);
             seen += 1;
@@ -451,128 +378,26 @@ fn decode_batched_identical(v: &Value) -> Result<f64, String> {
     Ok(all_match)
 }
 
-fn resident_section(v: &Value) -> Result<&Value, String> {
-    v.get("resident")
-        .ok_or_else(|| "missing `resident` section".to_string())
-}
-
-fn resident_evict_identical(v: &Value) -> Result<f64, String> {
-    flag(resident_section(v)?, "evict_identical")
-}
-
 fn resident_cold_bytes_max(v: &Value) -> Result<f64, String> {
-    max_over(resident_section(v)?, "sizes", |s| {
+    fold_over(v, "resident.sizes", f64::max, |s| {
         num(s, "cold_bytes_per_home")
     })
 }
 
 fn resident_samples_per_sec_min(v: &Value) -> Result<f64, String> {
-    min_over(resident_section(v)?, "sizes", |s| num(s, "samples_per_sec"))
+    fold_over(v, "resident.sizes", f64::min, |s| num(s, "samples_per_sec"))
 }
 
 fn resident_homes_per_sec_min(v: &Value) -> Result<f64, String> {
-    min_over(resident_section(v)?, "sizes", |s| num(s, "homes_per_sec"))
-}
-
-fn recovery_section<'a>(v: &'a Value, key: &str) -> Result<&'a Value, String> {
-    v.get(key).ok_or_else(|| format!("missing `{key}` section"))
-}
-
-fn recovery_crash_identical(v: &Value) -> Result<f64, String> {
-    flag(recovery_section(v, "crash")?, "digest_identical")
-}
-
-fn recovery_transient_identical(v: &Value) -> Result<f64, String> {
-    flag(recovery_section(v, "transient")?, "identical")
-}
-
-fn recovery_rebuild_identical(v: &Value) -> Result<f64, String> {
-    flag(recovery_section(v, "rebuild")?, "identical")
+    fold_over(v, "resident.sizes", f64::min, |s| num(s, "homes_per_sec"))
 }
 
 fn recovery_quarantine_exact(v: &Value) -> Result<f64, String> {
-    let q = recovery_section(v, "quarantine")?;
-    Ok(flag(q, "exact")? * flag(q, "survivors_identical")?)
-}
-
-fn recovery_speedup(v: &Value) -> Result<f64, String> {
-    num(recovery_section(v, "crash")?, "recovery_speedup")
-}
-
-/// The derived `summary` section of the tournament matrix.
-fn tournament_summary(v: &Value) -> Result<&Value, String> {
-    v.get("summary")
-        .ok_or_else(|| "missing `summary` section".to_string())
-}
-
-fn tournament_adaptive_margin(v: &Value) -> Result<f64, String> {
-    num(tournament_summary(v)?, "adaptive_min_non_dp_margin")
-}
-
-fn tournament_dp_degradation(v: &Value) -> Result<f64, String> {
-    num(tournament_summary(v)?, "dp_static_degradation_min")
-}
-
-fn tournament_dp_floor(v: &Value) -> Result<f64, String> {
-    num(tournament_summary(v)?, "dp_adaptive_floor_margin")
-}
-
-fn tournament_cost_ratio(v: &Value) -> Result<f64, String> {
-    num(tournament_summary(v)?, "dp_cost_min_ratio")
-}
-
-fn tournament_quarantine(v: &Value) -> Result<f64, String> {
-    flag(tournament_summary(v)?, "quarantine_composes")
-}
-
-fn tournament_stream_equal(v: &Value) -> Result<f64, String> {
-    v.get("stream")
-        .ok_or_else(|| "missing `stream` section".to_string())
-        .and_then(|s| flag(s, "chunked_equal"))
-}
-
-// ---- shaping_arms_race extractors -------------------------------------
-
-fn shaping_summary(v: &Value) -> Result<&Value, String> {
-    v.get("summary")
-        .ok_or_else(|| "missing `summary` section".to_string())
-}
-
-fn shaping_strong_margin(v: &Value) -> Result<f64, String> {
-    num(shaping_summary(v)?, "strong_minus_naive_min_partial")
-}
-
-fn shaping_pad_leak(v: &Value) -> Result<f64, String> {
-    num(shaping_summary(v)?, "pad_strong_above_chance")
-}
-
-fn shaping_full_floor(v: &Value) -> Result<f64, String> {
-    num(shaping_summary(v)?, "full_strong_above_chance")
-}
-
-fn shaping_naive_blinded(v: &Value) -> Result<f64, String> {
-    num(shaping_summary(v)?, "naive_pad_cover_accuracy")
-}
-
-fn shaping_strong_clear(v: &Value) -> Result<f64, String> {
-    num(shaping_summary(v)?, "strong_clear_accuracy")
+    all_flags(v, &["quarantine.exact", "quarantine.survivors_identical"])
 }
 
 fn shaping_cover_occupancy_drop(v: &Value) -> Result<f64, String> {
-    let s = shaping_summary(v)?;
-    Ok(num(s, "none_occupancy_mcc")? - num(s, "pad_cover_occupancy_mcc")?)
-}
-
-fn shaping_full_overhead(v: &Value) -> Result<f64, String> {
-    num(shaping_summary(v)?, "full_overhead_frac")
-}
-
-fn shaping_latency_honest(v: &Value) -> Result<f64, String> {
-    flag(shaping_summary(v)?, "latency_honest")
-}
-
-fn shaping_quarantine(v: &Value) -> Result<f64, String> {
-    flag(shaping_summary(v)?, "quarantine_composes")
+    Ok(num(v, "summary.none_occupancy_mcc")? - num(v, "summary.pad_cover_occupancy_mcc")?)
 }
 
 /// Every registered claim, grouped by experiment in registry order.
@@ -585,7 +410,7 @@ pub fn all() -> &'static [Claim] {
             title: "Occupied periods draw visibly more mean power than empty ones",
             experiment: "fig1_occupancy_overlay",
             band: Band::AtLeast { lo: 50.0 },
-            extract: fig1_power_gap,
+            extract: Extract::Fn(fig1_power_gap),
             cheap: true,
         },
         Claim {
@@ -594,7 +419,7 @@ pub fn all() -> &'static [Claim] {
             title: "Occupied periods are burstier (higher σ) than empty ones",
             experiment: "fig1_occupancy_overlay",
             band: Band::AtLeast { lo: 50.0 },
-            extract: fig1_variance_gap,
+            extract: Extract::Fn(fig1_variance_gap),
             cheap: true,
         },
         // -- §II-A: NIOM occupancy detection accuracy --------------------
@@ -604,7 +429,7 @@ pub fn all() -> &'static [Claim] {
             title: "Threshold NIOM detects occupancy around 80% accuracy across homes",
             experiment: "claim_niom_accuracy",
             band: Band::Absolute { lo: 0.70, hi: 0.90 },
-            extract: niom_accuracy_mean,
+            extract: Extract::Num("threshold_accuracy.mean"),
             cheap: false,
         },
         Claim {
@@ -613,7 +438,7 @@ pub fn all() -> &'static [Claim] {
             title: "Even the hardest home stays well above coin-flip accuracy",
             experiment: "claim_niom_accuracy",
             band: Band::Absolute { lo: 0.50, hi: 0.85 },
-            extract: niom_accuracy_min,
+            extract: Extract::Num("threshold_accuracy.min"),
             cheap: false,
         },
         Claim {
@@ -622,7 +447,7 @@ pub fn all() -> &'static [Claim] {
             title: "Detection is good but imperfect — no home is classified perfectly",
             experiment: "claim_niom_accuracy",
             band: Band::AtMost { hi: 0.97 },
-            extract: niom_accuracy_max,
+            extract: Extract::Num("threshold_accuracy.max"),
             cheap: false,
         },
         // -- Fig. 2: NILM disaggregation ---------------------------------
@@ -632,7 +457,7 @@ pub fn all() -> &'static [Claim] {
             title: "Device-aware PowerPlay tracking beats generic FHMM on every device",
             experiment: "fig2_disaggregation",
             band: Band::AtLeast { lo: -0.05 },
-            extract: fig2_margin_vs_fhmm,
+            extract: Extract::Fn(fig2_margin_vs_fhmm),
             cheap: false,
         },
         Claim {
@@ -641,7 +466,7 @@ pub fn all() -> &'static [Claim] {
             title: "PowerPlay recovers most per-device energy (mean error ≪ all-zero's 1.0)",
             experiment: "fig2_disaggregation",
             band: Band::AtMost { hi: 0.85 },
-            extract: fig2_powerplay_mean_error,
+            extract: Extract::Fn(fig2_powerplay_mean_error),
             cheap: false,
         },
         // -- Fig. 5: solar localization ----------------------------------
@@ -651,7 +476,7 @@ pub fn all() -> &'static [Claim] {
             title: "WeatherMan localizes every site to within ~15 km",
             experiment: "fig5_localization",
             band: Band::AtMost { hi: 15.0 },
-            extract: fig5_weatherman_max,
+            extract: Extract::Num("weatherman_max_km"),
             cheap: false,
         },
         Claim {
@@ -660,7 +485,7 @@ pub fn all() -> &'static [Claim] {
             title: "Sun-angle SunSpot alone localizes to the ~100 km scale",
             experiment: "fig5_localization",
             band: Band::AtMost { hi: 150.0 },
-            extract: fig5_sunspot_median,
+            extract: Extract::Num("sunspot_median_km"),
             cheap: false,
         },
         // -- Fig. 6: CHPr defeats the NIOM attack ------------------------
@@ -670,7 +495,7 @@ pub fn all() -> &'static [Claim] {
             title: "Undefended week: NIOM attack MCC sits near the paper's 0.44",
             experiment: "fig6_chpr",
             band: Band::Absolute { lo: 0.30, hi: 0.70 },
-            extract: fig6_mcc_before,
+            extract: Extract::Num("mcc_before"),
             cheap: true,
         },
         Claim {
@@ -679,7 +504,7 @@ pub fn all() -> &'static [Claim] {
             title: "Under CHPr the attack MCC collapses to near-random (paper: 0.045)",
             experiment: "fig6_chpr",
             band: Band::AtMost { hi: 0.15 },
-            extract: fig6_mcc_after_abs,
+            extract: Extract::Fn(fig6_mcc_after_abs),
             cheap: true,
         },
         Claim {
@@ -688,7 +513,7 @@ pub fn all() -> &'static [Claim] {
             title: "CHPr cuts the attack MCC by at least 3× (paper: ~10×)",
             experiment: "fig6_chpr",
             band: Band::AtLeast { lo: 0.0 },
-            extract: fig6_collapse_margin,
+            extract: Extract::Fn(fig6_collapse_margin),
             cheap: true,
         },
         Claim {
@@ -697,7 +522,7 @@ pub fn all() -> &'static [Claim] {
             title: "CHPr's default cadence costs little extra energy over the week",
             experiment: "fig6_chpr",
             band: Band::AtMost { hi: 2.0 },
-            extract: fig6_extra_energy,
+            extract: Extract::Num("extra_energy_kwh"),
             cheap: true,
         },
         // -- §II-B: SunDance solar disaggregation ------------------------
@@ -707,7 +532,7 @@ pub fn all() -> &'static [Claim] {
             title: "Solar-aware SunDance cuts demand RMSE several-fold at every site",
             experiment: "claim_sundance",
             band: Band::AtMost { hi: 0.6 },
-            extract: sundance_rmse_ratio,
+            extract: Extract::Fn(sundance_rmse_ratio),
             cheap: true,
         },
         Claim {
@@ -716,7 +541,7 @@ pub fn all() -> &'static [Claim] {
             title: "Recovered generation energy lands within ±40% of truth",
             experiment: "claim_sundance",
             band: Band::AtMost { hi: 0.4 },
-            extract: sundance_energy_ratio_err,
+            extract: Extract::Fn(sundance_energy_ratio_err),
             cheap: true,
         },
         // -- §III-C: privacy-preserving verifiable billing ---------------
@@ -726,7 +551,7 @@ pub fn all() -> &'static [Claim] {
             title: "Honest flat-rate and TOU bills pass commitment verification",
             experiment: "claim_private_meter",
             band: Band::Absolute { lo: 1.0, hi: 1.0 },
-            extract: meter_bills_verify,
+            extract: Extract::Fn(meter_bills_verify),
             cheap: true,
         },
         Claim {
@@ -735,7 +560,7 @@ pub fn all() -> &'static [Claim] {
             title: "An under-reported bill fails verification",
             experiment: "claim_private_meter",
             band: Band::Absolute { lo: 1.0, hi: 1.0 },
-            extract: meter_cheat_detected,
+            extract: Extract::Flag("cheat_detected"),
             cheap: true,
         },
         // -- §II-A: extended-absence (vacation) detection ----------------
@@ -745,7 +570,7 @@ pub fn all() -> &'static [Claim] {
             title: "A week-long absence is flagged nearly day-for-day",
             experiment: "claim_vacation_detection",
             band: Band::Absolute { lo: 6.0, hi: 7.0 },
-            extract: vacation_hits,
+            extract: Extract::Num("hits"),
             cheap: true,
         },
         Claim {
@@ -754,7 +579,7 @@ pub fn all() -> &'static [Claim] {
             title: "Occupied days are essentially never flagged as vacation",
             experiment: "claim_vacation_detection",
             band: Band::AtMost { hi: 1.0 },
-            extract: vacation_false_alarms,
+            extract: Extract::Num("false_alarms"),
             cheap: true,
         },
         // -- §IV: traffic fingerprinting and the smart gateway -----------
@@ -764,7 +589,7 @@ pub fn all() -> &'static [Claim] {
             title: "Flow metadata alone fingerprints device types far above chance",
             experiment: "sec4_traffic_fingerprint",
             band: Band::Absolute { lo: 0.80, hi: 1.0 },
-            extract: sec4_fingerprint_accuracy,
+            extract: Extract::Num("acc_naive_bayes"),
             cheap: true,
         },
         Claim {
@@ -773,7 +598,7 @@ pub fn all() -> &'static [Claim] {
             title: "Traffic shaping drives fingerprinting back toward chance (0.1)",
             experiment: "sec4_traffic_fingerprint",
             band: Band::AtMost { hi: 0.35 },
-            extract: sec4_shaped_accuracy,
+            extract: Extract::Num("acc_shaped"),
             cheap: true,
         },
         Claim {
@@ -782,7 +607,7 @@ pub fn all() -> &'static [Claim] {
             title: "The smart gateway quarantines an injected compromised device",
             experiment: "sec4_traffic_fingerprint",
             band: Band::Absolute { lo: 1.0, hi: 1.0 },
-            extract: sec4_compromise_caught,
+            extract: Extract::Flag("compromise_caught"),
             cheap: true,
         },
         Claim {
@@ -791,7 +616,7 @@ pub fn all() -> &'static [Claim] {
             title: "At most one of the nine benign devices is ever falsely quarantined",
             experiment: "sec4_traffic_fingerprint",
             band: Band::AtMost { hi: 1.0 },
-            extract: sec4_false_quarantines,
+            extract: Extract::Num("false_quarantines"),
             cheap: true,
         },
         // -- §III-E: the privacy-effort knob -----------------------------
@@ -801,7 +626,7 @@ pub fn all() -> &'static [Claim] {
             title: "Full privacy effort cuts attack MCC by at least 0.2 vs no effort",
             experiment: "ablation_privacy_knob",
             band: Band::AtLeast { lo: 0.2 },
-            extract: knob_mcc_drop,
+            extract: Extract::Fn(knob_mcc_drop),
             cheap: true,
         },
         // -- §III-A: differential privacy on shared aggregates -----------
@@ -814,7 +639,7 @@ pub fn all() -> &'static [Claim] {
                 expected: 10.0,
                 rel: 0.6,
             },
-            extract: dp_laplace_scaling,
+            extract: Extract::Fn(dp_laplace_scaling),
             cheap: true,
         },
         Claim {
@@ -823,7 +648,7 @@ pub fn all() -> &'static [Claim] {
             title: "Stricter privacy (ε: 5 → 0.05) costs strictly more utility",
             experiment: "ablation_dp_tradeoff",
             band: Band::AtLeast { lo: 1.0 },
-            extract: dp_error_monotone,
+            extract: Extract::Fn(dp_error_monotone),
             cheap: true,
         },
         // -- Fig. 6 design space: CHPr tank cadence ----------------------
@@ -833,7 +658,7 @@ pub fn all() -> &'static [Claim] {
             title: "Some burst cadence cuts attack MCC by ≥0.1 vs the undefended home",
             experiment: "ablation_chpr_tank",
             band: Band::AtLeast { lo: 0.1 },
-            extract: chpr_best_cadence_margin,
+            extract: Extract::Fn(chpr_best_cadence_margin),
             cheap: true,
         },
         // -- roadmap: robustness under injected faults --------------------
@@ -843,7 +668,7 @@ pub fn all() -> &'static [Claim] {
             title: "Gap-aware NIOM attack stays far above random at every fault level",
             experiment: "degradation_curves",
             band: Band::AtLeast { lo: 0.2 },
-            extract: robust_attack_mcc_floor,
+            extract: Extract::Fn(robust_attack_mcc_floor),
             cheap: true,
         },
         Claim {
@@ -852,7 +677,7 @@ pub fn all() -> &'static [Claim] {
             title: "CHPr keeps the attack MCC collapsed even on corrupted meters",
             experiment: "degradation_curves",
             band: Band::AtMost { hi: 0.25 },
-            extract: robust_defense_mcc_ceiling,
+            extract: Extract::Fn(robust_defense_mcc_ceiling),
             cheap: true,
         },
         Claim {
@@ -861,7 +686,7 @@ pub fn all() -> &'static [Claim] {
             title: "The 50% fault profile really destroys a large trace fraction",
             experiment: "degradation_curves",
             band: Band::Absolute { lo: 0.2, hi: 0.9 },
-            extract: robust_heavy_gap_fraction,
+            extract: Extract::Fn(robust_heavy_gap_fraction),
             cheap: true,
         },
         Claim {
@@ -870,7 +695,7 @@ pub fn all() -> &'static [Claim] {
             title: "Traffic fingerprinting stays potent under packet loss and reboots",
             experiment: "degradation_curves",
             band: Band::AtLeast { lo: 0.8 },
-            extract: robust_fingerprint_floor,
+            extract: Extract::Fn(robust_fingerprint_floor),
             cheap: true,
         },
         Claim {
@@ -879,7 +704,7 @@ pub fn all() -> &'static [Claim] {
             title: "The fleet supervisor quarantines exactly the panicking 10% of homes",
             experiment: "degradation_curves",
             band: Band::Absolute { lo: 1.0, hi: 1.0 },
-            extract: robust_quarantined_homes,
+            extract: Extract::Num("fleet.quarantined"),
             cheap: true,
         },
         Claim {
@@ -888,7 +713,7 @@ pub fn all() -> &'static [Claim] {
             title: "Every non-panicking home survives a fleet run with injected panics",
             experiment: "degradation_curves",
             band: Band::Absolute { lo: 9.0, hi: 9.0 },
-            extract: robust_fleet_survivors,
+            extract: Extract::Num("fleet.survivors"),
             cheap: true,
         },
         // -- Streaming: batch equivalence (crates/stream) ----------------
@@ -898,7 +723,7 @@ pub fn all() -> &'static [Claim] {
             title: "Streaming NIOM detection (Fig. 1 metrics) is byte-identical to batch for any chunking",
             experiment: "stream_equivalence",
             band: Band::Absolute { lo: 1.0, hi: 1.0 },
-            extract: stream_niom_equal,
+            extract: Extract::Fn(stream_niom_equal),
             cheap: true,
         },
         Claim {
@@ -907,7 +732,7 @@ pub fn all() -> &'static [Claim] {
             title: "Streaming FHMM/PowerPlay disaggregation (Fig. 2 metrics) is byte-identical to batch",
             experiment: "stream_equivalence",
             band: Band::Absolute { lo: 1.0, hi: 1.0 },
-            extract: stream_nilm_equal,
+            extract: Extract::Fn(stream_nilm_equal),
             cheap: true,
         },
         Claim {
@@ -916,7 +741,7 @@ pub fn all() -> &'static [Claim] {
             title: "Streaming CHPr and battery defenses replay the batch rng schedule exactly",
             experiment: "stream_equivalence",
             band: Band::Absolute { lo: 1.0, hi: 1.0 },
-            extract: stream_defense_equal,
+            extract: Extract::Fn(stream_defense_equal),
             cheap: true,
         },
         Claim {
@@ -925,7 +750,7 @@ pub fn all() -> &'static [Claim] {
             title: "Streaming flow fingerprinting and gateway monitoring (§IV metrics) match batch",
             experiment: "stream_equivalence",
             band: Band::Absolute { lo: 1.0, hi: 1.0 },
-            extract: stream_netsim_equal,
+            extract: Extract::Fn(stream_netsim_equal),
             cheap: true,
         },
         Claim {
@@ -934,7 +759,7 @@ pub fn all() -> &'static [Claim] {
             title: "Gap-marked (fault-injected) chunks resolve to the batch gap-fill output exactly",
             experiment: "stream_equivalence",
             band: Band::Absolute { lo: 1.0, hi: 1.0 },
-            extract: stream_faults_equal,
+            extract: Extract::Fn(stream_faults_equal),
             cheap: true,
         },
         Claim {
@@ -943,7 +768,7 @@ pub fn all() -> &'static [Claim] {
             title: "The chunked scenario and checkpoint/restore resume reproduce the batch report",
             experiment: "stream_equivalence",
             band: Band::Absolute { lo: 1.0, hi: 1.0 },
-            extract: stream_scenario_equal,
+            extract: Extract::Fn(stream_scenario_equal),
             cheap: true,
         },
         Claim {
@@ -952,7 +777,7 @@ pub fn all() -> &'static [Claim] {
             title: "Streaming accuracy/MCC/error metrics differ from batch by exactly zero",
             experiment: "stream_equivalence",
             band: Band::AtMost { hi: 0.0 },
-            extract: stream_metric_delta_max,
+            extract: Extract::Num("metric_delta_max"),
             cheap: true,
         },
         // -- Decode throughput (wall-clock) -------------------------------
@@ -962,7 +787,7 @@ pub fn all() -> &'static [Claim] {
             title: "Chunked admission of arrived readings beats the world-rebuild batch fleet",
             experiment: "stream_throughput",
             band: Band::AtLeast { lo: 1.0 },
-            extract: chunked_speedup_min,
+            extract: Extract::Fn(chunked_speedup_min),
             cheap: false,
         },
         Claim {
@@ -971,7 +796,7 @@ pub fn all() -> &'static [Claim] {
             title: "The FHMM decode path clears 5x the pre-batching fleet throughput ceiling",
             experiment: "stream_throughput",
             band: Band::AtLeast { lo: 1_600_000.0 },
-            extract: decode_throughput_max,
+            extract: Extract::Fn(decode_throughput_max),
             cheap: false,
         },
         Claim {
@@ -980,7 +805,7 @@ pub fn all() -> &'static [Claim] {
             title: "Batched decode output is byte-identical to single-home decode at every B",
             experiment: "stream_throughput",
             band: Band::Absolute { lo: 1.0, hi: 1.0 },
-            extract: decode_batched_identical,
+            extract: Extract::Fn(decode_batched_identical),
             cheap: false,
         },
         // -- Resident fleet service (docs/FLEET.md) ----------------------
@@ -990,7 +815,7 @@ pub fn all() -> &'static [Claim] {
             title: "Eviction/rehydration through compact checkpoints is byte-invisible to output",
             experiment: "fleet_scale",
             band: Band::Absolute { lo: 1.0, hi: 1.0 },
-            extract: resident_evict_identical,
+            extract: Extract::Flag("resident.evict_identical"),
             cheap: false,
         },
         Claim {
@@ -999,7 +824,7 @@ pub fn all() -> &'static [Claim] {
             title: "An evicted home costs at most 512 bytes at every ladder rung (10^4..10^6)",
             experiment: "fleet_scale",
             band: Band::AtMost { hi: 512.0 },
-            extract: resident_cold_bytes_max,
+            extract: Extract::Fn(resident_cold_bytes_max),
             cheap: false,
         },
         Claim {
@@ -1008,7 +833,7 @@ pub fn all() -> &'static [Claim] {
             title: "Resident admission clears 1M samples/sec at every rung up to 10^6 homes",
             experiment: "fleet_scale",
             band: Band::AtLeast { lo: 1_000_000.0 },
-            extract: resident_samples_per_sec_min,
+            extract: Extract::Fn(resident_samples_per_sec_min),
             cheap: false,
         },
         Claim {
@@ -1017,7 +842,7 @@ pub fn all() -> &'static [Claim] {
             title: "The resident service admits 30k home-rounds/sec at every rung (vs ~200 rebuilt homes/sec)",
             experiment: "fleet_scale",
             band: Band::AtLeast { lo: 30_000.0 },
-            extract: resident_homes_per_sec_min,
+            extract: Extract::Fn(resident_homes_per_sec_min),
             cheap: false,
         },
         // -- Crash recovery of the durable fleet (docs/FLEET.md) ---------
@@ -1027,7 +852,7 @@ pub fn all() -> &'static [Claim] {
             title: "A fleet crashed mid-ladder and recovered from its durable store finishes byte-identical",
             experiment: "recovery_soak",
             band: Band::Absolute { lo: 1.0, hi: 1.0 },
-            extract: recovery_crash_identical,
+            extract: Extract::Flag("crash.digest_identical"),
             cheap: false,
         },
         Claim {
@@ -1036,7 +861,7 @@ pub fn all() -> &'static [Claim] {
             title: "Transient store-write failures are absorbed by bounded retry with byte-identical output",
             experiment: "recovery_soak",
             band: Band::Absolute { lo: 1.0, hi: 1.0 },
-            extract: recovery_transient_identical,
+            extract: Extract::Flag("transient.identical"),
             cheap: false,
         },
         Claim {
@@ -1045,7 +870,7 @@ pub fn all() -> &'static [Claim] {
             title: "Under the full storage-fault ladder, degraded-mode rebuild restores byte-identical output",
             experiment: "recovery_soak",
             band: Band::Absolute { lo: 1.0, hi: 1.0 },
-            extract: recovery_rebuild_identical,
+            extract: Extract::Flag("rebuild.identical"),
             cheap: false,
         },
         Claim {
@@ -1054,7 +879,7 @@ pub fn all() -> &'static [Claim] {
             title: "Offline frame corruption quarantines exactly the corrupted homes, survivors untouched",
             experiment: "recovery_soak",
             band: Band::Absolute { lo: 1.0, hi: 1.0 },
-            extract: recovery_quarantine_exact,
+            extract: Extract::Fn(recovery_quarantine_exact),
             cheap: false,
         },
         Claim {
@@ -1063,7 +888,7 @@ pub fn all() -> &'static [Claim] {
             title: "Recovering and resuming after a 4/6-round crash beats re-running the full ladder",
             experiment: "recovery_soak",
             band: Band::AtLeast { lo: 1.2 },
-            extract: recovery_speedup,
+            extract: Extract::Num("crash.recovery_speedup"),
             cheap: false,
         },
         // -- Adaptive-adversary tournament (docs/TOURNAMENT.md) ----------
@@ -1073,7 +898,7 @@ pub fn all() -> &'static [Claim] {
             title: "The co-evolving attacker strictly beats both static baselines on every non-DP defense",
             experiment: "tournament",
             band: Band::AtLeast { lo: 0.004 },
-            extract: tournament_adaptive_margin,
+            extract: Extract::Num("summary.adaptive_min_non_dp_margin"),
             cheap: false,
         },
         Claim {
@@ -1082,7 +907,7 @@ pub fn all() -> &'static [Claim] {
             title: "DP noise degrades the static attack gracefully: MCC falls from ε=∞ to ε=8, and every stronger rung stays below ε=8",
             experiment: "tournament",
             band: Band::AtLeast { lo: 0.01 },
-            extract: tournament_dp_degradation,
+            extract: Extract::Num("summary.dp_static_degradation_min"),
             cheap: false,
         },
         Claim {
@@ -1091,7 +916,7 @@ pub fn all() -> &'static [Claim] {
             title: "The strongest DP rung (ε=0.125) holds even the retrained attacker well below its undefended MCC",
             experiment: "tournament",
             band: Band::AtLeast { lo: 0.03 },
-            extract: tournament_dp_floor,
+            extract: Extract::Num("summary.dp_adaptive_floor_margin"),
             cheap: false,
         },
         Claim {
@@ -1100,7 +925,7 @@ pub fn all() -> &'static [Claim] {
             title: "Defense energy cost is monotone in strength: each 8× ε cut at least doubles the per-home kWh cost",
             experiment: "tournament",
             band: Band::AtLeast { lo: 2.0 },
-            extract: tournament_cost_ratio,
+            extract: Extract::Num("summary.dp_cost_min_ratio"),
             cheap: false,
         },
         Claim {
@@ -1109,7 +934,7 @@ pub fn all() -> &'static [Claim] {
             title: "The fleet supervisor quarantines the injected panic home in every matrix cell",
             experiment: "tournament",
             band: Band::Absolute { lo: 1.0, hi: 1.0 },
-            extract: tournament_quarantine,
+            extract: Extract::Flag("summary.quarantine_composes"),
             cheap: false,
         },
         Claim {
@@ -1118,7 +943,7 @@ pub fn all() -> &'static [Claim] {
             title: "The fitted adaptive attack replayed through chunked streaming admission matches batch byte-for-byte",
             experiment: "tournament",
             band: Band::Absolute { lo: 1.0, hi: 1.0 },
-            extract: tournament_stream_equal,
+            extract: Extract::Flag("stream.chunked_equal"),
             cheap: false,
         },
         // -- Encrypted-traffic arms race (docs/NETSIM.md) ----------------
@@ -1128,7 +953,7 @@ pub fn all() -> &'static [Claim] {
             title: "The re-featurizing attacker beats the naive one on every partial shaping defense",
             experiment: "shaping_arms_race",
             band: Band::AtLeast { lo: 0.05 },
-            extract: shaping_strong_margin,
+            extract: Extract::Num("summary.strong_minus_naive_min_partial"),
             cheap: false,
         },
         Claim {
@@ -1137,7 +962,7 @@ pub fn all() -> &'static [Claim] {
             title: "Size-bucket padding alone leaves the strong attacker at least 0.15 accuracy above chance — timing survives padding",
             experiment: "shaping_arms_race",
             band: Band::AtLeast { lo: 0.15 },
-            extract: shaping_pad_leak,
+            extract: Extract::Num("summary.pad_strong_above_chance"),
             cheap: false,
         },
         Claim {
@@ -1146,7 +971,7 @@ pub fn all() -> &'static [Claim] {
             title: "Only the full aggregation+cover+padding stack floors the strong attacker to within 0.05 of chance",
             experiment: "shaping_arms_race",
             band: Band::AtMost { hi: 0.05 },
-            extract: shaping_full_floor,
+            extract: Extract::Num("summary.full_strong_above_chance"),
             cheap: false,
         },
         Claim {
@@ -1155,7 +980,7 @@ pub fn all() -> &'static [Claim] {
             title: "Padding plus cover traffic blinds the naive size-feature attacker to below 0.45 accuracy",
             experiment: "shaping_arms_race",
             band: Band::AtMost { hi: 0.45 },
-            extract: shaping_naive_blinded,
+            extract: Extract::Num("summary.naive_pad_cover_accuracy"),
             cheap: false,
         },
         Claim {
@@ -1164,7 +989,7 @@ pub fn all() -> &'static [Claim] {
             title: "On unshaped flows the strong attacker reproduces the baseline fingerprinting accuracy",
             experiment: "shaping_arms_race",
             band: Band::AtLeast { lo: 0.7 },
-            extract: shaping_strong_clear,
+            extract: Extract::Num("summary.strong_clear_accuracy"),
             cheap: false,
         },
         Claim {
@@ -1173,7 +998,7 @@ pub fn all() -> &'static [Claim] {
             title: "Cover traffic collapses the traffic-occupancy side channel (MCC drop vs. unshaped)",
             experiment: "shaping_arms_race",
             band: Band::AtLeast { lo: 0.4 },
-            extract: shaping_cover_occupancy_drop,
+            extract: Extract::Fn(shaping_cover_occupancy_drop),
             cheap: false,
         },
         Claim {
@@ -1182,7 +1007,7 @@ pub fn all() -> &'static [Claim] {
             title: "The full stack reports a positive byte-overhead price, not a free lunch",
             experiment: "shaping_arms_race",
             band: Band::AtLeast { lo: 0.001 },
-            extract: shaping_full_overhead,
+            extract: Extract::Num("summary.full_overhead_frac"),
             cheap: false,
         },
         Claim {
@@ -1191,7 +1016,7 @@ pub fn all() -> &'static [Claim] {
             title: "Added latency is honest: zero for every non-aggregating policy, positive under tunnel aggregation",
             experiment: "shaping_arms_race",
             band: Band::Absolute { lo: 1.0, hi: 1.0 },
-            extract: shaping_latency_honest,
+            extract: Extract::Flag("summary.latency_honest"),
             cheap: false,
         },
         Claim {
@@ -1200,7 +1025,7 @@ pub fn all() -> &'static [Claim] {
             title: "The fleet supervisor quarantines the injected panic home in every shaping matrix cell",
             experiment: "shaping_arms_race",
             band: Band::Absolute { lo: 1.0, hi: 1.0 },
-            extract: shaping_quarantine,
+            extract: Extract::Flag("summary.quarantine_composes"),
             cheap: false,
         },
     ];
@@ -1278,6 +1103,30 @@ mod tests {
         };
         assert!(rel.contains(4.0) && rel.contains(16.0) && !rel.contains(3.9));
         assert_eq!(rel.bounds(), (4.0, 16.0));
+    }
+
+    #[test]
+    fn path_extractors_read_dotted_paths_and_name_missing_fields() {
+        let v: Value = serde_json::from_str(r#"{"summary": {"x": 2.5, "ok": true}}"#).unwrap();
+        let claim = |extract| Claim {
+            id: "demo.path",
+            anchor: "",
+            title: "",
+            experiment: "",
+            band: Band::AtLeast { lo: 0.0 },
+            extract,
+            cheap: true,
+        };
+        assert_eq!(claim(Extract::Num("summary.x")).measure(&v), Ok(2.5));
+        assert_eq!(claim(Extract::Flag("summary.ok")).measure(&v), Ok(1.0));
+        assert_eq!(
+            claim(Extract::Num("summary.y")).measure(&v),
+            Err("missing numeric field `summary.y`".to_string())
+        );
+        assert_eq!(
+            claim(Extract::Flag("summary.x")).measure(&v),
+            Err("missing boolean field `summary.x`".to_string())
+        );
     }
 
     #[test]

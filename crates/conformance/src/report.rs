@@ -306,7 +306,8 @@ pub fn render_claims_md(results_dir: &Path) -> Result<String, String> {
             .map_err(|e| format!("{}: cannot read {}: {e}", claim.id, path.display()))?;
         let value: Value = serde_json::from_str(&text)
             .map_err(|e| format!("{}: {} is not JSON: {e:?}", claim.id, path.display()))?;
-        let measured = (claim.extract)(&value)
+        let measured = claim
+            .measure(&value)
             .map_err(|e| format!("{}: extractor failed on {}: {e}", claim.id, path.display()))?;
         out.push_str(&format!(
             "| `{}` | {} | `{}` | {} | {:.4} | {} |\n",

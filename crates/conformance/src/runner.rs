@@ -144,7 +144,7 @@ pub fn run_claims(claims: &[&'static Claim], opts: &Options) -> ConformanceRepor
         let mut errors = Vec::new();
         for offset in 0..seeds {
             match &runs[&(claim.experiment, offset)] {
-                Ok(json) => match (claim.extract)(json) {
+                Ok(json) => match claim.measure(json) {
                     Ok(v) => values.push(v),
                     Err(e) => errors.push(format!("offset {offset}: {e}")),
                 },

@@ -64,7 +64,7 @@ fn every_claim_holds_against_its_canonical_artifact() {
     for claim in registry::all() {
         let path = results.join(format!("{}.json", claim.experiment));
         let value: Value = serde_json::from_str(&std::fs::read_to_string(&path).unwrap()).unwrap();
-        let measured = (claim.extract)(&value).unwrap_or_else(|e| {
+        let measured = claim.measure(&value).unwrap_or_else(|e| {
             panic!("{}: extractor failed on {}: {e}", claim.id, path.display())
         });
         assert!(
@@ -104,7 +104,7 @@ fn tournament_and_robust_claim_families_hold_against_canonical_artifacts() {
             let path = results.join(format!("{}.json", claim.experiment));
             let value: Value =
                 serde_json::from_str(&std::fs::read_to_string(&path).unwrap()).unwrap();
-            let measured = (claim.extract)(&value).unwrap();
+            let measured = claim.measure(&value).unwrap();
             assert!(
                 claim.band.contains(measured),
                 "{}: canonical artifact value {measured} outside band {}",

@@ -3,7 +3,7 @@
 //! coverage (a deliberately broken band must fail loudly, naming the
 //! claim id and paper anchor).
 
-use conformance::registry::{self, Band, Claim};
+use conformance::registry::{self, Band, Claim, Extract};
 use conformance::{runner, Options};
 
 #[test]
@@ -33,11 +33,7 @@ static BROKEN: Claim = Claim {
     title: "Deliberately impossible tolerance (harness failure-path test)",
     experiment: "fig6_chpr",
     band: Band::Absolute { lo: 9.0, hi: 10.0 },
-    extract: |v| {
-        v.get("mcc_before")
-            .and_then(serde_json::Value::as_f64)
-            .ok_or_else(|| "missing mcc_before".to_string())
-    },
+    extract: Extract::Num("mcc_before"),
     cheap: true,
 };
 

@@ -2,39 +2,42 @@
 //!
 //! The paper evaluates attacks and defenses home-by-home; real questions
 //! ("what does CHPr cost across a utility's service area?") need the same
-//! pipeline over *many* independent homes. This module runs a fleet of
-//! [`EnergyScenario`]s concurrently and aggregates their reports.
+//! pipeline over *many* independent homes. This module has one fleet
+//! runner, [`run_fleet_supervised_with`]: it runs a per-home closure over
+//! `homes` seeded homes concurrently and aggregates their reports. What a
+//! home does is the closure's business — rebuild an
+//! [`EnergyScenario`](crate::scenario::EnergyScenario), stream it through a
+//! [`StreamingScenario`](crate::streaming::StreamingScenario), or admit
+//! pre-simulated readings.
 //!
 //! # Determinism
 //!
 //! Every home gets its own seed derived from the fleet root seed via
 //! `derive_seed(root, "home:<index>")`, so no RNG state is shared between
 //! homes, and results are collected in home-index order. The parallel
-//! schedule therefore cannot influence any value: [`run_fleet`] is
-//! bit-identical to [`run_fleet_serial`] at any thread count (covered by a
+//! schedule therefore cannot influence any value: the runner is
+//! bit-identical to its serial reference
+//! [`run_fleet_supervised_with_serial`] at any thread count (covered by a
 //! regression test that compares serialized JSON byte-for-byte).
 //!
 //! # Supervision
 //!
 //! At fleet scale a single pathological home (corrupt feed, degenerate
-//! trace, a bug in one code path) must not abort the whole run.
-//! [`run_fleet_supervised`] isolates each home behind
-//! [`std::panic::catch_unwind`], retries a bounded number of times on a
-//! reseeded RNG stream (`derive_seed(home_seed, "retry:<k>")`), and
-//! quarantines homes that keep failing. The quarantine set depends only on
-//! `(home index, attempt)` — never on threads or wall clock — so it too is
+//! trace, a bug in one code path) must not abort the whole run. The
+//! runner isolates each home behind [`std::panic::catch_unwind`], retries
+//! a bounded number of times on a reseeded RNG stream
+//! (`derive_seed(home_seed, "retry:<k>")`), and quarantines homes that
+//! keep failing. The quarantine set depends only on `(home index,
+//! attempt)` — never on threads or wall clock — so it too is
 //! byte-identical across `RAYON_NUM_THREADS` settings; see
 //! `docs/ROBUSTNESS.md`.
 
-use crate::scenario::{EnergyScenario, ScenarioReport};
-use crate::streaming::StreamingScenario;
-use nilm::{DecodeArena, DeviceEstimate, Fhmm};
+use crate::scenario::ScenarioReport;
 use serde::{Deserialize, Serialize};
 use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Once;
 use timeseries::rng::derive_seed;
-use timeseries::PowerTrace;
 
 /// Errors from fleet execution.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -139,96 +142,12 @@ impl FleetSummary {
     }
 }
 
-/// Every home's report plus the fleet-level summary.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct FleetResult {
-    /// Per-home reports, in home-index order.
-    pub reports: Vec<ScenarioReport>,
-    /// Aggregate statistics.
-    pub summary: FleetSummary,
-}
-
 /// The derived seed for home `index` under `root`.
 pub fn home_seed(root: u64, index: usize) -> u64 {
     derive_seed(root, &format!("home:{index}"))
 }
 
-/// Runs `homes` independent scenarios concurrently.
-///
-/// `build` receives each home's derived seed and constructs that home's
-/// scenario; it runs on worker threads, so it must be `Sync` and should
-/// not share mutable state.
-///
-/// When the [`obs`] layer is enabled, records the `fleet.run`
-/// span, the per-home `fleet.home` timing distribution (whose snapshot
-/// summary gives mean/p50/p95 seconds per home), and the `fleet.homes`
-/// counter; each home additionally records its own `scenario.*` stage
-/// spans. Observation never feeds back into results, so metrics-enabled
-/// runs stay byte-identical to the serial reference.
-///
-/// # Errors
-///
-/// Returns [`FleetError::EmptyFleet`] if `homes` is zero.
-///
-/// # Examples
-///
-/// ```
-/// use iot_privacy::scenario::EnergyScenario;
-///
-/// let fleet = iot_privacy::run_fleet(2, 7, |seed| EnergyScenario::new(seed).days(1)).unwrap();
-/// assert_eq!(fleet.reports.len(), 2);
-/// assert_eq!(fleet.summary.homes, 2);
-/// // Same seeds, same order, one thread — identical result.
-/// let serial =
-///     iot_privacy::run_fleet_serial(2, 7, |seed| EnergyScenario::new(seed).days(1)).unwrap();
-/// assert_eq!(fleet, serial);
-/// ```
-pub fn run_fleet<F>(homes: usize, root_seed: u64, build: F) -> Result<FleetResult, FleetError>
-where
-    F: Fn(u64) -> EnergyScenario + Sync,
-{
-    if homes == 0 {
-        return Err(FleetError::EmptyFleet);
-    }
-    let _span = obs::span("fleet.run");
-    obs::counter_add("fleet.homes", homes as u64);
-    let reports = rayon::parallel_map((0..homes).collect(), |i| {
-        obs::time("fleet.home", || build(home_seed(root_seed, i)).run())
-    });
-    let summary = FleetSummary::of(&reports);
-    Ok(FleetResult { reports, summary })
-}
-
-/// Reference serial implementation of [`run_fleet`]: same seeds, same
-/// order, one thread. Exists so tests (and sceptics) can verify that the
-/// parallel engine changes nothing but wall-clock time.
-///
-/// # Errors
-///
-/// Returns [`FleetError::EmptyFleet`] if `homes` is zero.
-pub fn run_fleet_serial<F>(
-    homes: usize,
-    root_seed: u64,
-    build: F,
-) -> Result<FleetResult, FleetError>
-where
-    F: Fn(u64) -> EnergyScenario,
-{
-    if homes == 0 {
-        return Err(FleetError::EmptyFleet);
-    }
-    // Instrumented identically to [`run_fleet`] so the deterministic
-    // metric sections (counters/gauges) of the two engines also match.
-    let _span = obs::span("fleet.run");
-    obs::counter_add("fleet.homes", homes as u64);
-    let reports: Vec<ScenarioReport> = (0..homes)
-        .map(|i| obs::time("fleet.home", || build(home_seed(root_seed, i)).run()))
-        .collect();
-    let summary = FleetSummary::of(&reports);
-    Ok(FleetResult { reports, summary })
-}
-
-/// Supervisor tuning for [`run_fleet_supervised`].
+/// Supervisor tuning for [`run_fleet_supervised_with`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SupervisorConfig {
     /// Retries after a home's first failed attempt before it is
@@ -242,7 +161,7 @@ impl Default for SupervisorConfig {
     }
 }
 
-/// One attempt at one home, handed to the supervised build closure.
+/// One attempt at one home, handed to the runner's per-home closure.
 ///
 /// `seed` already encodes the retry: attempt 0 gets the plain
 /// [`home_seed`], attempt `k > 0` gets
@@ -328,9 +247,8 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 
 /// The per-home supervision loop: run, catch, retry on a reseeded stream,
 /// quarantine when retries are exhausted. Pure function of
-/// `(home, root_seed, config, run_attempt)`. Generic over how an attempt
-/// produces its report so the batch ([`run_fleet_supervised`]) and
-/// streaming ([`run_fleet_streaming`]) engines share one loop.
+/// `(home, root_seed, config, run_attempt)`; timed as one `fleet.home`
+/// sample.
 fn supervise_home<F>(
     home: usize,
     root_seed: u64,
@@ -340,6 +258,7 @@ fn supervise_home<F>(
 where
     F: Fn(HomeAttempt) -> ScenarioReport,
 {
+    let _span = obs::span("fleet.home");
     let base = home_seed(root_seed, home);
     let mut retries = 0u64;
     let mut last_error = String::new();
@@ -380,18 +299,29 @@ where
     )
 }
 
-/// Runs `homes` scenarios concurrently with per-home panic isolation.
+/// Runs `run_attempt` over `homes` seeded homes concurrently, each home
+/// behind the supervisor. This is the fleet runner.
 ///
-/// Like [`run_fleet`], but each home executes behind
-/// [`std::panic::catch_unwind`]: a panicking home is retried up to
-/// `config.max_retries` times on a reseeded RNG stream and then
-/// quarantined, never aborting the remaining homes. The quarantine set is
-/// deterministic — a pure function of `(homes, root_seed, config, build)`
-/// — and is reported in home-index order, byte-identical across thread
-/// counts.
+/// `run_attempt` receives each `(home, attempt)` context and produces that
+/// home's report however it likes: rebuild a scenario
+/// (`|a| EnergyScenario::new(a.seed).run()`), stream one
+/// (`|a| StreamingScenario::new(a.seed).run()`), or admit pre-simulated
+/// readings through the streaming layer (the shape the
+/// `stream_throughput` experiment times). It runs on worker threads, so it
+/// must be `Sync` and should not share mutable state.
 ///
-/// When the [`obs`] layer is enabled, additionally records the
-/// `fleet.retries` and `fleet.quarantined` counters.
+/// Each home executes behind [`std::panic::catch_unwind`]: a panicking
+/// home is retried up to `config.max_retries` times on a reseeded RNG
+/// stream and then quarantined, never aborting the remaining homes. The
+/// quarantine set is a pure function of
+/// `(homes, root_seed, config, run_attempt)` and is reported in home-index
+/// order, byte-identical across thread counts.
+///
+/// When the [`obs`] layer is enabled, records the `fleet.run` span, the
+/// per-home `fleet.home` timing distribution, and the `fleet.homes`,
+/// `fleet.retries` and `fleet.quarantined` counters; each home records
+/// its own stage spans. Observation never feeds back into results, so
+/// metrics-enabled runs stay byte-identical to the serial reference.
 ///
 /// # Errors
 ///
@@ -403,122 +333,23 @@ where
 /// ```
 /// use iot_privacy::fleet::SupervisorConfig;
 /// use iot_privacy::scenario::EnergyScenario;
+/// use iot_privacy::{run_fleet_supervised_with, run_fleet_supervised_with_serial};
 ///
 /// // Home 1 always panics; the rest of the fleet completes.
-/// let fleet = iot_privacy::run_fleet_supervised(
-///     3,
-///     7,
-///     SupervisorConfig::default(),
-///     |attempt| {
-///         if attempt.home == 1 {
-///             panic!("corrupt feed");
-///         }
-///         EnergyScenario::new(attempt.seed).days(1)
-///     },
-/// )
-/// .unwrap();
+/// let run = |attempt: iot_privacy::HomeAttempt| {
+///     if attempt.home == 1 {
+///         panic!("corrupt feed");
+///     }
+///     EnergyScenario::new(attempt.seed).days(1).run()
+/// };
+/// let fleet = run_fleet_supervised_with(3, 7, SupervisorConfig::default(), run).unwrap();
 /// assert_eq!(fleet.reports.len(), 2);
-/// assert_eq!(fleet.quarantined.len(), 1);
 /// assert_eq!(fleet.quarantined[0].home, 1);
 /// assert_eq!(fleet.quarantined[0].last_error, "corrupt feed");
+/// // Same seeds, same order, one thread — identical result.
+/// let serial = run_fleet_supervised_with_serial(3, 7, SupervisorConfig::default(), run);
+/// assert_eq!(serial.unwrap(), fleet);
 /// ```
-pub fn run_fleet_supervised<F>(
-    homes: usize,
-    root_seed: u64,
-    config: SupervisorConfig,
-    build: F,
-) -> Result<SupervisedFleetResult, FleetError>
-where
-    F: Fn(HomeAttempt) -> EnergyScenario + Sync,
-{
-    supervised_engine(homes, root_seed, config, |attempt| build(attempt).run())
-}
-
-/// The parallel supervised engine shared by the batch and streaming entry
-/// points: `run_attempt` executes one `(home, attempt)` and may panic.
-fn supervised_engine<F>(
-    homes: usize,
-    root_seed: u64,
-    config: SupervisorConfig,
-    run_attempt: F,
-) -> Result<SupervisedFleetResult, FleetError>
-where
-    F: Fn(HomeAttempt) -> ScenarioReport + Sync,
-{
-    if homes == 0 {
-        return Err(FleetError::EmptyFleet);
-    }
-    install_supervisor_panic_hook();
-    let _span = obs::span("fleet.run");
-    obs::counter_add("fleet.homes", homes as u64);
-    let outcomes = rayon::parallel_map((0..homes).collect(), |i| {
-        obs::time("fleet.home", || {
-            supervise_home(i, root_seed, config, &run_attempt)
-        })
-    });
-    assemble_supervised(homes, outcomes)
-}
-
-/// Reference serial implementation of [`run_fleet_supervised`]: same
-/// seeds, same attempt schedule, one thread.
-///
-/// # Errors
-///
-/// Returns [`FleetError::EmptyFleet`] if `homes` is zero, and
-/// [`FleetError::AllHomesQuarantined`] if no home survived.
-pub fn run_fleet_supervised_serial<F>(
-    homes: usize,
-    root_seed: u64,
-    config: SupervisorConfig,
-    build: F,
-) -> Result<SupervisedFleetResult, FleetError>
-where
-    F: Fn(HomeAttempt) -> EnergyScenario,
-{
-    supervised_engine_serial(homes, root_seed, config, |attempt| build(attempt).run())
-}
-
-/// Serial counterpart of [`supervised_engine`]: same seeds, same attempt
-/// schedule, one thread.
-fn supervised_engine_serial<F>(
-    homes: usize,
-    root_seed: u64,
-    config: SupervisorConfig,
-    run_attempt: F,
-) -> Result<SupervisedFleetResult, FleetError>
-where
-    F: Fn(HomeAttempt) -> ScenarioReport,
-{
-    if homes == 0 {
-        return Err(FleetError::EmptyFleet);
-    }
-    install_supervisor_panic_hook();
-    let _span = obs::span("fleet.run");
-    obs::counter_add("fleet.homes", homes as u64);
-    let outcomes: Vec<_> = (0..homes)
-        .map(|i| {
-            obs::time("fleet.home", || {
-                supervise_home(i, root_seed, config, &run_attempt)
-            })
-        })
-        .collect();
-    assemble_supervised(homes, outcomes)
-}
-
-/// Runs an arbitrary per-home attempt closure under the supervisor.
-///
-/// The generalization behind [`run_fleet_supervised`] and
-/// [`run_fleet_streaming`]: `run_attempt` receives each `(home, attempt)`
-/// context and produces that home's report however it likes — rebuild a
-/// scenario, or admit pre-simulated readings through the streaming layer
-/// (the shape the `stream_throughput` experiment times). Panic isolation,
-/// the retry schedule, and the quarantine ledger are identical to the
-/// scenario-building entry points.
-///
-/// # Errors
-///
-/// Returns [`FleetError::EmptyFleet`] if `homes` is zero, and
-/// [`FleetError::AllHomesQuarantined`] if no home survived.
 pub fn run_fleet_supervised_with<F>(
     homes: usize,
     root_seed: u64,
@@ -528,11 +359,15 @@ pub fn run_fleet_supervised_with<F>(
 where
     F: Fn(HomeAttempt) -> ScenarioReport + Sync,
 {
-    supervised_engine(homes, root_seed, config, run_attempt)
+    supervised_engine(homes, |ids| {
+        rayon::parallel_map(ids, |i| supervise_home(i, root_seed, config, &run_attempt))
+    })
 }
 
 /// Reference serial implementation of [`run_fleet_supervised_with`]: same
-/// seeds, same attempt schedule, one thread.
+/// seeds, same attempt schedule, same metrics, one thread. Exists so tests
+/// (and sceptics) can verify that the parallel runner changes nothing but
+/// wall-clock time.
 ///
 /// # Errors
 ///
@@ -547,116 +382,30 @@ pub fn run_fleet_supervised_with_serial<F>(
 where
     F: Fn(HomeAttempt) -> ScenarioReport,
 {
-    supervised_engine_serial(homes, root_seed, config, run_attempt)
-}
-
-/// Disaggregates a fleet of meters with the FHMM, `batch` homes per
-/// shard.
-///
-/// Shards are decoded concurrently with [`par_map`]; each shard reuses one
-/// [`DecodeArena`] across its meters, so scratch allocation is per-shard,
-/// not per-home. Estimates come back in meter order. Every meter gets the
-/// single-home decode (see `docs/KERNELS.md`), so the result does not
-/// depend on `batch`, the shard schedule, or the thread count — only
-/// wall-clock time does.
-///
-/// # Panics
-///
-/// Panics if `batch` is zero.
-pub fn run_fleet_decode(
-    fhmm: &Fhmm,
-    meters: &[&PowerTrace],
-    batch: usize,
-) -> Vec<Vec<DeviceEstimate>> {
-    assert!(batch > 0, "batch must be positive");
-    let _span = obs::span("fleet.decode");
-    obs::counter_add("fleet.homes", meters.len() as u64);
-    let shards: Vec<Vec<&PowerTrace>> = meters.chunks(batch).map(<[_]>::to_vec).collect();
-    let out = par_map(shards, |shard| {
-        let mut arena = DecodeArena::new();
-        fhmm.disaggregate_batch(&shard, &mut arena)
+    supervised_engine(homes, |ids| {
+        ids.into_iter()
+            .map(|i| supervise_home(i, root_seed, config, &run_attempt))
+            .collect()
     })
-    .into_iter()
-    .flatten()
-    .collect();
-    // Parallel shards race on the `decode.batch_size` gauge (the ragged
-    // last shard may or may not write last); gauges live in the
-    // deterministic metrics section, so re-pin it to the configured
-    // shard size after the engine drains.
-    if !meters.is_empty() {
-        obs::gauge_set("decode.batch_size", batch.min(meters.len()) as f64);
+}
+
+/// The one engine behind the runner and its serial reference; they differ
+/// only in how `map_homes` maps home indices to supervised outcomes.
+fn supervised_engine<M>(homes: usize, map_homes: M) -> Result<SupervisedFleetResult, FleetError>
+where
+    M: FnOnce(Vec<usize>) -> Vec<(Result<ScenarioReport, QuarantinedHome>, u64)>,
+{
+    if homes == 0 {
+        return Err(FleetError::EmptyFleet);
     }
-    out
-}
-
-/// Runs `homes` [`StreamingScenario`]s concurrently under the supervisor.
-///
-/// The streaming analogue of [`run_fleet_supervised`]: each home's meter
-/// flows through the `stream` crate's chunked ingestion layer instead of
-/// the batch entry points, behind the same panic isolation, retry
-/// schedule, and quarantine ledger. Because every streaming pipeline is
-/// batch-equivalent, the result is byte-identical to
-/// [`run_fleet_supervised`] over the matching batch scenarios — the
-/// `stream_throughput` experiment and `tests/stream_equivalence.rs` both
-/// assert exactly that.
-///
-/// When the [`obs`] layer is enabled, the per-home streams additionally
-/// record the `stream.chunks` / `stream.samples` counters and the
-/// `stream.finalize` timing under the usual `fleet.*` spans.
-///
-/// # Errors
-///
-/// Returns [`FleetError::EmptyFleet`] if `homes` is zero, and
-/// [`FleetError::AllHomesQuarantined`] if no home survived.
-///
-/// # Examples
-///
-/// ```
-/// use iot_privacy::fleet::SupervisorConfig;
-/// use iot_privacy::streaming::StreamingScenario;
-///
-/// let fleet = iot_privacy::run_fleet_streaming(
-///     2,
-///     7,
-///     SupervisorConfig::default(),
-///     |attempt| StreamingScenario::new(attempt.seed).days(1).chunk_len(60),
-/// )
-/// .unwrap();
-/// assert_eq!(fleet.reports.len(), 2);
-/// ```
-pub fn run_fleet_streaming<F>(
-    homes: usize,
-    root_seed: u64,
-    config: SupervisorConfig,
-    build: F,
-) -> Result<SupervisedFleetResult, FleetError>
-where
-    F: Fn(HomeAttempt) -> StreamingScenario + Sync,
-{
-    supervised_engine(homes, root_seed, config, |attempt| build(attempt).run())
-}
-
-/// Reference serial implementation of [`run_fleet_streaming`]: same
-/// seeds, same attempt schedule, one thread.
-///
-/// # Errors
-///
-/// Returns [`FleetError::EmptyFleet`] if `homes` is zero, and
-/// [`FleetError::AllHomesQuarantined`] if no home survived.
-pub fn run_fleet_streaming_serial<F>(
-    homes: usize,
-    root_seed: u64,
-    config: SupervisorConfig,
-    build: F,
-) -> Result<SupervisedFleetResult, FleetError>
-where
-    F: Fn(HomeAttempt) -> StreamingScenario,
-{
-    supervised_engine_serial(homes, root_seed, config, |attempt| build(attempt).run())
+    install_supervisor_panic_hook();
+    let _span = obs::span("fleet.run");
+    obs::counter_add("fleet.homes", homes as u64);
+    assemble_supervised(homes, map_homes((0..homes).collect()))
 }
 
 /// Folds per-home outcomes (already in home-index order) into the final
-/// result; shared by the parallel and serial supervised engines.
+/// result.
 fn assemble_supervised(
     homes: usize,
     outcomes: Vec<(Result<ScenarioReport, QuarantinedHome>, u64)>,
@@ -687,8 +436,9 @@ fn assemble_supervised(
 }
 
 /// Order-preserving parallel map over independent work items — the same
-/// engine [`run_fleet`] uses, exposed for experiment binaries whose sweep
-/// points are independent (each owns its RNG or needs none).
+/// engine [`run_fleet_supervised_with`] uses, exposed for experiment
+/// binaries whose sweep points are independent (each owns its RNG or needs
+/// none).
 pub fn par_map<T, U, F>(items: Vec<T>, f: F) -> Vec<U>
 where
     T: Send,
@@ -701,6 +451,12 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scenario::EnergyScenario;
+    use crate::streaming::StreamingScenario;
+
+    fn one_day(attempt: HomeAttempt) -> ScenarioReport {
+        EnergyScenario::new(attempt.seed).days(1).run()
+    }
 
     #[test]
     fn summary_statistics() {
@@ -720,16 +476,9 @@ mod tests {
     }
 
     #[test]
-    fn fleet_matches_serial_reference() {
-        let build = |seed: u64| EnergyScenario::new(seed).days(1);
-        let parallel = run_fleet(6, 9, build).unwrap();
-        let serial = run_fleet_serial(6, 9, build).unwrap();
-        assert_eq!(parallel, serial);
-    }
-
-    #[test]
     fn summary_covers_all_homes() {
-        let result = run_fleet(4, 11, |seed| EnergyScenario::new(seed).days(1)).unwrap();
+        let result =
+            run_fleet_supervised_with(4, 11, SupervisorConfig::default(), one_day).unwrap();
         assert_eq!(result.reports.len(), 4);
         assert_eq!(result.summary.homes, 4);
         // Accuracy is a rate; the summary must stay in range.
@@ -745,17 +494,13 @@ mod tests {
 
     #[test]
     fn zero_homes_rejected_with_typed_error() {
-        assert_eq!(
-            run_fleet(0, 1, EnergyScenario::new).unwrap_err(),
-            FleetError::EmptyFleet
-        );
-        assert_eq!(
-            run_fleet_serial(0, 1, EnergyScenario::new).unwrap_err(),
-            FleetError::EmptyFleet
-        );
         let cfg = SupervisorConfig::default();
         assert_eq!(
-            run_fleet_supervised(0, 1, cfg, |a| EnergyScenario::new(a.seed)).unwrap_err(),
+            run_fleet_supervised_with(0, 1, cfg, one_day).unwrap_err(),
+            FleetError::EmptyFleet
+        );
+        assert_eq!(
+            run_fleet_supervised_with_serial(0, 1, cfg, one_day).unwrap_err(),
             FleetError::EmptyFleet
         );
         assert_eq!(
@@ -764,23 +509,23 @@ mod tests {
         );
     }
 
-    /// A build closure where homes 2 and 5 panic on every attempt
+    /// A per-home closure where homes 2 and 5 panic on every attempt
     /// (persistent faults) and home 3 panics only on its first attempt
     /// (transient fault — the reseeded retry clears it).
-    fn flaky_build(attempt: HomeAttempt) -> EnergyScenario {
+    fn flaky(attempt: HomeAttempt) -> ScenarioReport {
         if attempt.home == 2 || attempt.home == 5 {
             panic!("persistent fault in home {}", attempt.home);
         }
         if attempt.home == 3 && attempt.attempt == 0 {
             panic!("transient fault");
         }
-        EnergyScenario::new(attempt.seed).days(1)
+        one_day(attempt)
     }
 
     #[test]
     fn supervisor_quarantines_persistent_and_retries_transient() {
         let cfg = SupervisorConfig::default();
-        let result = run_fleet_supervised(8, 13, cfg, flaky_build).unwrap();
+        let result = run_fleet_supervised_with(8, 13, cfg, flaky).unwrap();
         assert_eq!(result.homes, 8);
         assert_eq!(result.reports.len(), 6);
         assert_eq!(result.summary.homes, 6);
@@ -799,8 +544,8 @@ mod tests {
     #[test]
     fn supervised_matches_serial_reference() {
         let cfg = SupervisorConfig::default();
-        let parallel = run_fleet_supervised(8, 13, cfg, flaky_build).unwrap();
-        let serial = run_fleet_supervised_serial(8, 13, cfg, flaky_build).unwrap();
+        let parallel = run_fleet_supervised_with(8, 13, cfg, flaky).unwrap();
+        let serial = run_fleet_supervised_with_serial(8, 13, cfg, flaky).unwrap();
         assert_eq!(parallel, serial);
     }
 
@@ -810,12 +555,12 @@ mod tests {
         // clean home must see exactly the plain home seed.
         let cfg = SupervisorConfig { max_retries: 2 };
         let seen = std::sync::Mutex::new(Vec::new());
-        let _ = run_fleet_supervised_serial(1, 17, cfg, |attempt| {
+        let _ = run_fleet_supervised_with_serial(1, 17, cfg, |attempt| {
             seen.lock().unwrap().push(attempt.seed);
             if attempt.attempt < 2 {
                 panic!("retry me");
             }
-            EnergyScenario::new(attempt.seed).days(1)
+            one_day(attempt)
         })
         .unwrap();
         let seeds = seen.into_inner().unwrap();
@@ -829,7 +574,7 @@ mod tests {
     #[test]
     fn all_homes_quarantined_is_a_typed_error() {
         let cfg = SupervisorConfig { max_retries: 0 };
-        let err = run_fleet_supervised(3, 19, cfg, |_| -> EnergyScenario {
+        let err = run_fleet_supervised_with(3, 19, cfg, |_| -> ScenarioReport {
             panic!("everything is broken");
         })
         .unwrap_err();
@@ -841,73 +586,32 @@ mod tests {
     fn streaming_fleet_matches_batch_fleet() {
         let cfg = SupervisorConfig::default();
         let batch =
-            run_fleet_supervised(4, 29, cfg, |a| EnergyScenario::new(a.seed).days(2)).unwrap();
-        for chunk_len in [60, 1_440] {
-            let streamed = run_fleet_streaming(4, 29, cfg, |a| {
-                StreamingScenario::new(a.seed).days(2).chunk_len(chunk_len)
-            })
-            .unwrap();
-            assert_eq!(streamed, batch, "chunk_len {chunk_len}");
-        }
-        let serial = run_fleet_streaming_serial(4, 29, cfg, |a| {
-            StreamingScenario::new(a.seed).days(2).chunk_len(60)
-        })
-        .unwrap();
-        assert_eq!(serial, batch);
-    }
-
-    #[test]
-    fn supervised_with_closure_matches_scenario_builder() {
-        let cfg = SupervisorConfig::default();
-        let built =
-            run_fleet_supervised(4, 31, cfg, |a| EnergyScenario::new(a.seed).days(1)).unwrap();
-        let with =
-            run_fleet_supervised_with(4, 31, cfg, |a| EnergyScenario::new(a.seed).days(1).run())
+            run_fleet_supervised_with(4, 29, cfg, |a| EnergyScenario::new(a.seed).days(2).run())
                 .unwrap();
-        assert_eq!(with, built);
-        let serial = run_fleet_supervised_with_serial(4, 31, cfg, |a| {
-            EnergyScenario::new(a.seed).days(1).run()
-        })
-        .unwrap();
-        assert_eq!(serial, built);
-    }
-
-    #[test]
-    fn fleet_decode_is_batch_invariant() {
-        use homesim::{Home, HomeConfig};
-        let homes: Vec<Home> = (0..5)
-            .map(|i| Home::simulate(&HomeConfig::new(home_seed(37, i)).days(1)))
-            .collect();
-        let meters: Vec<&timeseries::PowerTrace> = homes.iter().map(|h| &h.meter).collect();
-        let models: Vec<nilm::DeviceHmm> = homes[0]
-            .devices
-            .iter()
-            .take(3)
-            .map(|d| nilm::train_device_hmm(d.name.clone(), &d.trace, 2))
-            .collect();
-        let fhmm = nilm::Fhmm::new(models);
-        let reference: Vec<Vec<nilm::DeviceEstimate>> = meters
-            .iter()
-            .map(|m| nilm::with_thread_arena(|arena| fhmm.disaggregate_with(m, arena)))
-            .collect();
-        for batch in [1, 2, 5, 8] {
-            assert_eq!(
-                run_fleet_decode(&fhmm, &meters, batch),
-                reference,
-                "batch {batch}"
-            );
+        for chunk_len in [60, 1_440] {
+            let stream = |a: HomeAttempt| {
+                StreamingScenario::new(a.seed)
+                    .days(2)
+                    .chunk_len(chunk_len)
+                    .run()
+            };
+            let streamed = run_fleet_supervised_with(4, 29, cfg, stream).unwrap();
+            assert_eq!(streamed, batch, "chunk_len {chunk_len}");
+            let serial = run_fleet_supervised_with_serial(4, 29, cfg, stream).unwrap();
+            assert_eq!(serial, batch, "serial, chunk_len {chunk_len}");
         }
     }
 
     #[test]
     fn supervised_without_faults_matches_unsupervised() {
-        let cfg = SupervisorConfig::default();
         let supervised =
-            run_fleet_supervised(4, 23, cfg, |a| EnergyScenario::new(a.seed).days(1)).unwrap();
-        let plain = run_fleet(4, 23, |seed| EnergyScenario::new(seed).days(1)).unwrap();
+            run_fleet_supervised_with(4, 23, SupervisorConfig::default(), one_day).unwrap();
+        let plain: Vec<ScenarioReport> = (0..4)
+            .map(|i| EnergyScenario::new(home_seed(23, i)).days(1).run())
+            .collect();
         assert!(supervised.quarantined.is_empty());
         assert_eq!(supervised.retries, 0);
-        assert_eq!(supervised.reports, plain.reports);
-        assert_eq!(supervised.summary, plain.summary);
+        assert_eq!(supervised.reports, plain);
+        assert_eq!(supervised.summary, FleetSummary::of(&plain));
     }
 }

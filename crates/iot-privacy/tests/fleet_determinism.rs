@@ -1,95 +1,91 @@
-//! Regression tests for the fleet engine's determinism contract: the
-//! parallel engine must serialize byte-for-byte identically to the serial
+//! Regression tests for the fleet runner's determinism contract: the
+//! parallel runner must serialize byte-for-byte identically to the serial
 //! reference at every thread count — including with the obs metrics layer
 //! enabled, whose deterministic section (counters/gauges) must itself be
-//! byte-identical between the serial and parallel engines.
+//! byte-identical between the serial and parallel runs.
 //!
 //! All thread-count cases live in ONE test function on purpose —
 //! `RAYON_NUM_THREADS` is process-global, and the harness runs separate
 //! `#[test]`s concurrently.
 
-use homesim::{Home, HomeConfig};
-use iot_privacy::scenario::EnergyScenario;
+use iot_privacy::scenario::{EnergyScenario, ScenarioReport};
 use iot_privacy::{
-    obs, run_fleet, run_fleet_decode, run_fleet_serial, run_fleet_supervised,
-    run_fleet_supervised_serial, HomeAttempt, SupervisorConfig,
+    obs, run_fleet_supervised_with, run_fleet_supervised_with_serial, HomeAttempt,
+    SupervisedFleetResult, SupervisorConfig,
 };
 
-fn build(seed: u64) -> EnergyScenario {
-    EnergyScenario::new(seed).days(1)
+fn clean(attempt: HomeAttempt) -> ScenarioReport {
+    EnergyScenario::new(attempt.seed).days(1).run()
 }
 
-/// A supervised build where ~10 % of homes (here 2 of 20) panic on every
+/// A per-home closure where ~10 % of homes (here 2 of 20) panic on every
 /// attempt — the acceptance scenario for the quarantine contract.
-fn faulty_build(attempt: HomeAttempt) -> EnergyScenario {
+fn faulty(attempt: HomeAttempt) -> ScenarioReport {
     if attempt.home % 10 == 3 {
         panic!("injected per-home panic in home {}", attempt.home);
     }
-    EnergyScenario::new(attempt.seed).days(1)
+    clean(attempt)
+}
+
+const HOMES: usize = 8;
+const ROOT: u64 = 123;
+const FAULTY_HOMES: usize = 20;
+
+/// Runs the clean and the faulty fleet through `run` and serializes both.
+fn both_fleets(
+    run: impl Fn(usize, fn(HomeAttempt) -> ScenarioReport) -> SupervisedFleetResult,
+) -> (String, String) {
+    let clean_fleet = serde_json::to_string(&run(HOMES, clean)).expect("fleet serializes");
+    let faulty_fleet = run(FAULTY_HOMES, faulty);
+    let quarantined: Vec<usize> = faulty_fleet.quarantined.iter().map(|q| q.home).collect();
+    assert_eq!(
+        quarantined,
+        vec![3, 13],
+        "quarantine set must be deterministic"
+    );
+    let faulty_fleet = serde_json::to_string(&faulty_fleet).expect("fleet serializes");
+    (clean_fleet, faulty_fleet)
 }
 
 #[test]
 fn parallel_fleet_is_byte_identical_to_serial_at_any_thread_count() {
-    const HOMES: usize = 8;
-    const ROOT: u64 = 123;
-    const SUPERVISED_HOMES: usize = 20;
-
     // Metrics observation must never feed back into results, so the whole
     // test runs with the obs layer ON (the stricter direction: a pass here
     // also covers metrics-off runs, which execute strictly less code).
     obs::enable();
     obs::reset();
 
-    let reference = serde_json::to_string(&run_fleet_serial(HOMES, ROOT, build).unwrap())
-        .expect("serial fleet serializes");
-    assert!(reference.contains("undefended"), "sanity: report shape");
+    let cfg = SupervisorConfig::default();
+    let (clean_reference, faulty_reference) =
+        both_fleets(|homes, run| run_fleet_supervised_with_serial(homes, ROOT, cfg, run).unwrap());
+    assert!(
+        clean_reference.contains("undefended"),
+        "sanity: report shape"
+    );
+    assert!(
+        faulty_reference.contains("quarantined"),
+        "sanity: quarantine ledger serialized"
+    );
     let serial_metrics = obs::snapshot().deterministic_json();
     assert!(
-        serial_metrics.contains("fleet.homes"),
+        serial_metrics.contains("fleet.homes") && serial_metrics.contains("fleet.quarantined"),
         "sanity: metrics recorded"
-    );
-
-    // Batched-decode reference: the sharded fleet decode must be
-    // byte-identical to the per-meter serial decode regardless of thread
-    // count or shard size (including the ragged last shard: 6 homes at
-    // batch 32).
-    let homes: Vec<Home> = (0..6)
-        .map(|i| Home::simulate(&HomeConfig::new(9_000 + i as u64).days(1)))
-        .collect();
-    let meters: Vec<&timeseries::PowerTrace> = homes.iter().map(|h| &h.meter).collect();
-    let models: Vec<nilm::DeviceHmm> = homes[0]
-        .devices
-        .iter()
-        .take(3)
-        .map(|d| nilm::train_device_hmm(d.name.clone(), &d.trace, 2))
-        .collect();
-    let fhmm = nilm::Fhmm::new(models);
-    let decode_reference: Vec<Vec<nilm::DeviceEstimate>> = meters
-        .iter()
-        .map(|m| nilm::with_thread_arena(|arena| fhmm.disaggregate_with(m, arena)))
-        .collect();
-
-    // Supervised reference: 10 % injected per-home panics, quarantine
-    // ledger included in the serialized bytes.
-    let cfg = SupervisorConfig::default();
-    let supervised_reference = serde_json::to_string(
-        &run_fleet_supervised_serial(SUPERVISED_HOMES, ROOT, cfg, faulty_build).unwrap(),
-    )
-    .expect("supervised serial fleet serializes");
-    assert!(
-        supervised_reference.contains("quarantined"),
-        "sanity: quarantine ledger serialized"
     );
 
     for threads in ["1", "2", "3", "8", "32"] {
         std::env::set_var("RAYON_NUM_THREADS", threads);
         obs::reset();
-        let parallel = serde_json::to_string(&run_fleet(HOMES, ROOT, build).unwrap())
-            .expect("parallel fleet serializes");
+        let (clean_fleet, faulty_fleet) =
+            both_fleets(|homes, run| run_fleet_supervised_with(homes, ROOT, cfg, run).unwrap());
         assert_eq!(
-            parallel, reference,
+            clean_fleet, clean_reference,
             "fleet JSON must be byte-identical to the serial reference at \
              RAYON_NUM_THREADS={threads}"
+        );
+        assert_eq!(
+            faulty_fleet, faulty_reference,
+            "faulty fleet JSON (reports + quarantine ledger) must be \
+             byte-identical to the serial reference at RAYON_NUM_THREADS={threads}"
         );
         // Counters merge commutatively, so the deterministic metric
         // section is also schedule-independent.
@@ -98,29 +94,6 @@ fn parallel_fleet_is_byte_identical_to_serial_at_any_thread_count() {
             serial_metrics,
             "deterministic metrics section must match the serial reference \
              at RAYON_NUM_THREADS={threads}"
-        );
-
-        for batch in [1, 32] {
-            assert_eq!(
-                run_fleet_decode(&fhmm, &meters, batch),
-                decode_reference,
-                "batched decode must be byte-identical to the serial \
-                 per-meter decode at RAYON_NUM_THREADS={threads}, batch={batch}"
-            );
-        }
-
-        let supervised = run_fleet_supervised(SUPERVISED_HOMES, ROOT, cfg, faulty_build).unwrap();
-        let quarantined: Vec<usize> = supervised.quarantined.iter().map(|q| q.home).collect();
-        assert_eq!(
-            quarantined,
-            vec![3, 13],
-            "quarantine set must be deterministic at RAYON_NUM_THREADS={threads}"
-        );
-        assert_eq!(
-            serde_json::to_string(&supervised).expect("supervised fleet serializes"),
-            supervised_reference,
-            "supervised fleet JSON (reports + quarantine ledger) must be \
-             byte-identical to the serial reference at RAYON_NUM_THREADS={threads}"
         );
     }
     std::env::remove_var("RAYON_NUM_THREADS");

@@ -33,7 +33,7 @@ use iot_privacy_suite::streaming::StreamingScenario;
 use iot_privacy_suite::timeseries::rng::{derive_seed, seeded_rng};
 use iot_privacy_suite::timeseries::{PipelineError, PowerTrace, Resolution, Timestamp};
 use iot_privacy_suite::{
-    run_fleet_streaming, run_fleet_streaming_serial, run_fleet_supervised, SupervisorConfig,
+    run_fleet_supervised_with, run_fleet_supervised_with_serial, HomeAttempt, SupervisorConfig,
 };
 
 /// The chunk lengths the contract is exercised at; `usize::MAX / 2`
@@ -279,15 +279,21 @@ fn streaming_scenario_report_serializes_byte_identically_to_batch() {
 #[test]
 fn streaming_fleet_matches_batch_fleet_parallel_and_serial() {
     let config = SupervisorConfig::default();
-    let batch = run_fleet_supervised(6, 2_024, config, |a| EnergyScenario::new(a.seed).days(1))
-        .expect("non-empty fleet");
+    let batch = run_fleet_supervised_with(6, 2_024, config, |a| {
+        EnergyScenario::new(a.seed).days(1).run()
+    })
+    .expect("non-empty fleet");
     let batch_bytes = json_bytes(&batch);
 
     for chunk_len in [60, 1_440] {
-        let parallel = run_fleet_streaming(6, 2_024, config, move |a| {
-            StreamingScenario::new(a.seed).days(1).chunk_len(chunk_len)
-        })
-        .expect("non-empty fleet");
+        let stream = |a: HomeAttempt| {
+            StreamingScenario::new(a.seed)
+                .days(1)
+                .chunk_len(chunk_len)
+                .run()
+        };
+        let parallel =
+            run_fleet_supervised_with(6, 2_024, config, stream).expect("non-empty fleet");
         assert_eq!(
             json_bytes(&parallel),
             batch_bytes,
@@ -296,10 +302,8 @@ fn streaming_fleet_matches_batch_fleet_parallel_and_serial() {
 
         // Serial streaming must agree with parallel streaming regardless
         // of the rayon pool size this process runs with.
-        let serial = run_fleet_streaming_serial(6, 2_024, config, move |a| {
-            StreamingScenario::new(a.seed).days(1).chunk_len(chunk_len)
-        })
-        .expect("non-empty fleet");
+        let serial =
+            run_fleet_supervised_with_serial(6, 2_024, config, stream).expect("non-empty fleet");
         assert_eq!(
             json_bytes(&serial),
             batch_bytes,
