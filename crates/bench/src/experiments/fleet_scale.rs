@@ -18,10 +18,10 @@
 //! synthetic readings to 10⁴ → 10⁶ homes under a residency cap, so
 //! most homes live as compact evicted checkpoints between rounds. It
 //! reports homes/sec (home-rounds admitted per wall-clock second),
-//! samples/sec, measured bytes/home in both tiers, and a perf-model
-//! extrapolation ("at this samples/sec, 1M homes needs N cores"). At
-//! the 10⁴ rung the capped fleet's digest is checked byte-identical to
-//! an always-resident fleet — eviction/rehydration must be invisible.
+//! samples/sec and measured bytes/home in both tiers, up to the
+//! million-home rung itself. At the 10⁴ rung the capped fleet's digest
+//! is checked byte-identical to an always-resident fleet —
+//! eviction/rehydration must be invisible.
 //!
 //! The JSON output carries wall-clock timings, so this is the one
 //! experiment whose artifact is *not* a pure function of the seed (its
@@ -29,7 +29,7 @@
 
 use super::{Report, RunConfig};
 use crate::table::{Cell, ThroughputTable};
-use fleetd::{extrapolate, top_rung, FleetService, FleetdConfig, Observation};
+use fleetd::{FleetService, FleetdConfig};
 use iot_privacy::scenario::EnergyScenario;
 use iot_privacy::{
     obs, run_fleet_supervised_with, run_fleet_supervised_with_serial, HomeAttempt, SupervisorConfig,
@@ -153,7 +153,6 @@ pub fn run(cfg: &RunConfig) -> Report {
     ]);
     let mut resident_sizes = Vec::new();
     let mut evict_identical = false;
-    let mut ladder = Vec::new();
     for homes in [10_000usize, 100_000, 1_000_000] {
         let cap = homes / 8;
         let fleet_cfg = FleetdConfig {
@@ -217,32 +216,11 @@ pub fn run(cfg: &RunConfig) -> Report {
             "evictions": svc.evictions(),
             "rehydrations": svc.rehydrations(),
         }));
-        ladder.push(Observation {
-            homes,
-            samples_per_sec,
-            threads,
-        });
     }
     assert!(
         evict_identical,
         "capped fleet must evict and still match the always-resident digest"
     );
-
-    // Project the measured top rung onto the million-home north star at
-    // one reading per home per second.
-    let top = top_rung(&ladder).expect("ladder is non-empty");
-    let x = extrapolate(top, 1_000_000, 1.0);
-    let extrapolation = serde_json::json!({
-        "target_homes": 1_000_000,
-        "target_samples_per_home_per_sec": 1.0,
-        "measured_samples_per_sec": top.samples_per_sec,
-        "measured_threads": top.threads,
-        "per_core_samples_per_sec": x.per_core_samples_per_sec,
-        "required_samples_per_sec": x.required_samples_per_sec,
-        "projected_cores": x.projected_cores,
-        "projected_cores_ceil": x.projected_cores_ceil,
-        "headroom": x.headroom,
-    });
 
     let mut report = Report::new();
     report.table(
@@ -267,13 +245,6 @@ pub fn run(cfg: &RunConfig) -> Report {
         ),
     );
     report.note("\nEviction/rehydration verified byte-identical to the always-resident fleet ✓");
-    report.note(format!(
-        "Extrapolation: 1M homes at 1 sample/home/s needs {} core(s) of this machine \
-         ({:.2}M samples/s per core; measured headroom {:.0}x)",
-        x.projected_cores_ceil,
-        x.per_core_samples_per_sec / 1e6,
-        x.headroom,
-    ));
 
     report.json = serde_json::json!({
         "experiment": "fleet_scale",
@@ -285,7 +256,6 @@ pub fn run(cfg: &RunConfig) -> Report {
             "samples_per_round": SAMPLES_PER_ROUND,
             "evict_identical": evict_identical,
             "sizes": resident_sizes,
-            "extrapolation": extrapolation,
         },
     });
     report

@@ -36,7 +36,9 @@
 //! each resident home's struct plus owned heap; cold homes cost exactly
 //! their encoded [`codec`] checkpoint length. [`FleetService::memory`]
 //! reports both, and `fleet_scale` pins `bytes/home` as a conformance
-//! claim (`fleet.resident-bytes-per-home`).
+//! claim (`fleet.resident-bytes-per-home`). Its resident ladder measures
+//! the service up to the million-home rung itself (6.43M samples/s on
+//! one thread in `results/fleet_scale.json`).
 //!
 //! # Durability and crash recovery
 //!
@@ -47,7 +49,9 @@
 //! [`recover`](FleetService::recover)s byte-identically. Storage
 //! defects (modelled by [`faults::StoreFault`]) surface as typed
 //! [`StoreError`]s and are retried, rebuilt in degraded mode, or
-//! quarantined per [`RecoveryPolicy`] — see `docs/FLEET.md`.
+//! quarantined per [`RecoveryPolicy`]. Every stored record is read
+//! through one check and every bad record meets its policy in one
+//! place — see `docs/FLEET.md`.
 //!
 //! # Observability
 //!
@@ -60,13 +64,11 @@
 #![forbid(unsafe_code)]
 
 pub mod codec;
-mod extrap;
 mod gen;
 mod metrics;
 mod service;
 pub mod store;
 
-pub use extrap::{extrapolate, top_rung, Extrapolation, Observation};
 pub use gen::synthetic_chunk;
 pub use metrics::{write_prometheus, MetricsServer, ServeError};
 pub use service::{

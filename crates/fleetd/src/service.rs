@@ -18,25 +18,30 @@
 //! crashed service can be [`recover`](FleetService::recover)ed from
 //! disk and continue byte-identically to an uninterrupted run. Store
 //! defects surface as typed [`StoreError`]s: transient write failures
-//! are retried with bounded backoff (`fleet.store_retries`), and
-//! unrecoverable records are either replayed from re-admitted readings
-//! ([`RecoveryPolicy::Rebuild`], `fleet.store_rebuilds`) or excluded
-//! with their error preserved ([`RecoveryPolicy::Quarantine`],
-//! `fleet.store_quarantined`) — the storage-side mirror of the PR 4
-//! supervisor's panic quarantine. `docs/FLEET.md` documents the full
-//! lifecycle.
+//! are retried a fixed four times with no backoff (`fleet.store_retries`),
+//! and every stored record is read through one check, so an
+//! unrecoverable one meets its [`RecoveryPolicy`] in one place: it is
+//! replayed from re-admitted readings ([`RecoveryPolicy::Rebuild`],
+//! `fleet.store_rebuilds`) or excluded with its error preserved
+//! ([`RecoveryPolicy::Quarantine`], `fleet.store_quarantined`).
+//! `docs/FLEET.md` documents the full lifecycle.
 
 use crate::codec;
+use crate::gen::synthetic_chunk;
 use crate::store::{
     self, shard_dir, CheckpointStore, DurableStore, FaultyStore, Manifest, MemoryStore, StoreError,
 };
 use faults::{FaultPlan, StoreFaultInjector};
 use niom::ThresholdDetector;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::path::PathBuf;
-use stream::{Sample, StreamFill, StreamSpec, StreamState, ThresholdStream};
+use stream::{StreamFill, StreamSpec, StreamState, ThresholdStream, WindowCheckpoint};
 use timeseries::rng::derive_seed;
 use timeseries::{LabelSeries, Resolution, Timestamp};
+
+/// Retries per store write on transient errors before the home is
+/// quarantined with the last error.
+const MAX_STORE_RETRIES: u32 = 4;
 
 /// Where the fleet keeps its cold-tier checkpoint frames.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -94,12 +99,6 @@ pub struct FleetdConfig {
     pub store: StoreConfig,
     /// Policy for unrecoverable checkpoints.
     pub recovery: RecoveryPolicy,
-    /// Bounded retries per store write on transient errors.
-    pub max_store_retries: u32,
-    /// Base backoff between retries, doubled per attempt. Zero (the
-    /// default) keeps tests and experiments fast; outputs never depend
-    /// on it.
-    pub retry_backoff_ms: u64,
     /// Injected storage faults (identity by default). The injector is
     /// seeded `derive_seed(root_seed, "store-faults")` and keys every
     /// decision on `(home, generation)`, so faulted runs stay
@@ -118,8 +117,6 @@ impl Default for FleetdConfig {
             root_seed: 7,
             store: StoreConfig::Memory,
             recovery: RecoveryPolicy::Rebuild,
-            max_store_retries: 4,
-            retry_backoff_ms: 0,
             store_faults: FaultPlan::default(),
         }
     }
@@ -222,8 +219,9 @@ fn fnv_u64(mut h: u64, v: u64) -> u64 {
 pub struct RecoveryReport {
     /// Homes whose frame validated at the manifest generation.
     pub recovered: usize,
-    /// Homes scheduled for degraded-mode rebuild (replayed on their
-    /// next admission, or by [`FleetService::scrub`]).
+    /// Homes scheduled for degraded-mode rebuild: the bad record stays
+    /// in place until the next admission or [`FleetService::scrub`]
+    /// loads it again and replays the home.
     pub scheduled_rebuilds: usize,
     /// Homes quarantined with their typed error, home order.
     pub quarantined: Vec<(usize, StoreError)>,
@@ -273,13 +271,12 @@ impl std::error::Error for RecoverError {}
 
 /// One shard: the resident tier, the pluggable cold store, the
 /// quarantine ledger, and lifecycle counters. A home is in exactly one
-/// of: resident, cold (a store frame), scheduled-for-rebuild, or
-/// quarantined.
+/// of: resident, stored (a store record, which may be a bad one awaiting
+/// its rebuild), or quarantined.
 #[derive(Debug)]
 struct Shard {
     resident: BTreeMap<usize, ThresholdStream>,
     cold: Box<dyn CheckpointStore>,
-    rebuild: BTreeSet<usize>,
     quarantined: BTreeMap<usize, StoreError>,
     samples: u64,
     evictions: u64,
@@ -293,7 +290,6 @@ impl Shard {
         Shard {
             resident: BTreeMap::new(),
             cold,
-            rebuild: BTreeSet::new(),
             quarantined: BTreeMap::new(),
             samples: 0,
             evictions: 0,
@@ -303,57 +299,104 @@ impl Shard {
         }
     }
 
-    /// Re-derives `home`'s stream by replaying every completed round
-    /// (`0..rounds`) through the admission generator — the degraded-
-    /// mode rebuild. Byte-identical to the lost state because chunk
+    /// Reads and validates `home`'s stored record at `generation` — the
+    /// one check every stored record goes through. `Ok(None)` means the
+    /// home has no record yet, which is allowed only at generation 0:
+    /// rounds run in order from 0 and every home is fed every round, so
+    /// a missing record after round 0 is a lost one.
+    fn load(&self, home: usize, generation: u64) -> Result<Option<WindowCheckpoint>, StoreError> {
+        match self.cold.get(home)? {
+            Some(bytes) => store::validate_frame(&bytes, home, generation).map(Some),
+            None if generation == 0 => Ok(None),
+            None => Err(StoreError::Missing { home }),
+        }
+    }
+
+    /// Re-derives `home`'s stream by replaying its `rounds` completed
+    /// rounds through the admission generator — the degraded-mode
+    /// rebuild. Byte-identical to the lost state because chunk
     /// generation is a pure function of `(root_seed, home, round)`.
-    fn replay<F>(home: usize, rounds: u64, cfg: &FleetdConfig, gen: &F) -> ThresholdStream
-    where
-        F: Fn(u64, u64, &mut Vec<Sample>),
-    {
+    fn replay(
+        home: usize,
+        rounds: u64,
+        cfg: &FleetdConfig,
+        samples_per_home: usize,
+    ) -> ThresholdStream {
         let mut stream = ThresholdStream::new(cfg.detector.clone(), cfg.spec).with_fill(cfg.fill);
         let seed = derive_seed(cfg.root_seed, &format!("home:{home}"));
         let mut chunk = Vec::new();
         for round in 0..rounds {
-            gen(seed, round, &mut chunk);
+            synthetic_chunk(seed, round, samples_per_home, &mut chunk);
             stream.feed(&chunk);
         }
         stream
+    }
+
+    /// Sends `home`, whose stored record failed [`load`](Self::load) at
+    /// `generation` with `err`, to the recovery policy: replayed into
+    /// resident state, or quarantined. Returns whether the home is now
+    /// resident.
+    fn settle(
+        &mut self,
+        home: usize,
+        generation: u64,
+        err: StoreError,
+        cfg: &FleetdConfig,
+        samples_per_home: usize,
+    ) -> bool {
+        match cfg.recovery {
+            RecoveryPolicy::Rebuild => {
+                // Rebuild into resident state rather than re-writing the
+                // frame: store-fault decisions are deterministic per
+                // (home, generation), so a re-put at the same generation
+                // would be corrupted identically. Degraded mode holds the
+                // home in memory — possibly above the residency cap —
+                // until a round writes it at a fresh generation.
+                let stream = Self::replay(home, generation, cfg, samples_per_home);
+                self.cold.remove(home);
+                self.resident.insert(home, stream);
+                self.rebuilds += 1;
+                obs::counter_add("fleet.store_rebuilds", 1);
+                true
+            }
+            RecoveryPolicy::Quarantine => {
+                self.quarantine(home, err);
+                false
+            }
+        }
     }
 
     fn quarantine(&mut self, home: usize, err: StoreError) {
         obs::counter_add("fleet.store_quarantined", 1);
         self.cold.remove(home);
         self.resident.remove(&home);
-        self.rebuild.remove(&home);
         self.quarantined.insert(home, err);
     }
 
-    /// Writes `frame` with bounded retries on transient errors.
-    fn put_with_retry(
-        cold: &mut Box<dyn CheckpointStore>,
-        retries: &mut u64,
-        cfg: &FleetdConfig,
-        home: usize,
-        generation: u64,
-        frame: &[u8],
-    ) -> Result<(), StoreError> {
+    /// Frames resident `home` at `generation` and puts it, retrying
+    /// transient errors up to [`MAX_STORE_RETRIES`] times. A home whose
+    /// frame cannot be written has lost its durable copy, so it is
+    /// quarantined with the write error. Returns whether the write
+    /// landed.
+    fn write(&mut self, home: usize, generation: u64) -> bool {
+        let frame = store::encode_frame(
+            home as u64,
+            generation,
+            &codec::encode(&self.resident[&home].compact_checkpoint()),
+        );
         let mut attempt = 0;
         loop {
-            match cold.put(home, generation, frame) {
-                Ok(()) => return Ok(()),
-                Err(e) if e.is_transient() && attempt < cfg.max_store_retries => {
+            match self.cold.put(home, generation, &frame) {
+                Ok(()) => return true,
+                Err(e) if e.is_transient() && attempt < MAX_STORE_RETRIES => {
                     attempt += 1;
-                    *retries += 1;
+                    self.retries += 1;
                     obs::counter_add("fleet.store_retries", 1);
-                    if cfg.retry_backoff_ms > 0 {
-                        let shift = (attempt - 1).min(6);
-                        std::thread::sleep(std::time::Duration::from_millis(
-                            cfg.retry_backoff_ms << shift,
-                        ));
-                    }
                 }
-                Err(e) => return Err(e),
+                Err(e) => {
+                    self.quarantine(home, e);
+                    return false;
+                }
             }
         }
     }
@@ -361,133 +404,64 @@ impl Shard {
     /// Makes `home` resident for the admission of `round` (loading,
     /// rebuilding, or starting fresh). Returns `false` iff the home
     /// ended up quarantined.
-    fn make_resident<F>(&mut self, home: usize, round: u64, cfg: &FleetdConfig, gen: &F) -> bool
-    where
-        F: Fn(u64, u64, &mut Vec<Sample>),
-    {
+    fn make_resident(
+        &mut self,
+        home: usize,
+        round: u64,
+        cfg: &FleetdConfig,
+        samples_per_home: usize,
+    ) -> bool {
         if self.resident.contains_key(&home) {
             return true;
         }
-        if self.rebuild.remove(&home) {
-            self.rebuilds += 1;
-            obs::counter_add("fleet.store_rebuilds", 1);
-            self.resident
-                .insert(home, Self::replay(home, round, cfg, gen));
-            return true;
-        }
-        let verdict = match self.cold.get(home) {
-            Ok(Some(bytes)) => store::validate_frame(&bytes, home, round).map(Some),
-            // Rounds are sequential from 0 and every home is fed every
-            // round, so a missing frame after round 0 is a lost record.
-            Ok(None) if round == 0 => Ok(None),
-            Ok(None) => Err(StoreError::Missing { home }),
-            Err(e) => Err(e),
-        };
-        match verdict {
+        let stream = match self.load(home, round) {
             Ok(Some(cp)) => {
                 self.rehydrations += 1;
                 self.cold.remove(home);
-                self.resident.insert(
-                    home,
-                    ThresholdStream::from_compact(cfg.detector.clone(), cfg.spec, &cp),
-                );
-                true
+                ThresholdStream::from_compact(cfg.detector.clone(), cfg.spec, &cp)
             }
-            Ok(None) => {
-                self.resident.insert(
-                    home,
-                    ThresholdStream::new(cfg.detector.clone(), cfg.spec).with_fill(cfg.fill),
-                );
-                true
-            }
-            Err(err) => match cfg.recovery {
-                RecoveryPolicy::Rebuild => {
-                    self.rebuilds += 1;
-                    obs::counter_add("fleet.store_rebuilds", 1);
-                    self.cold.remove(home);
-                    self.resident
-                        .insert(home, Self::replay(home, round, cfg, gen));
-                    true
-                }
-                RecoveryPolicy::Quarantine => {
-                    self.quarantine(home, err);
-                    false
-                }
-            },
-        }
+            Ok(None) => ThresholdStream::new(cfg.detector.clone(), cfg.spec).with_fill(cfg.fill),
+            Err(err) => return self.settle(home, round, err, cfg, samples_per_home),
+        };
+        self.resident.insert(home, stream);
+        true
     }
 
     /// Evicts lowest-index homes until at most `cap` remain resident,
-    /// framing each at `write_gen`. A home whose frame cannot be
-    /// written even after retries has lost its durable copy *and* its
-    /// live stream — it is quarantined with the write error.
-    fn evict_to(&mut self, cap: usize, write_gen: u64, cfg: &FleetdConfig) {
+    /// writing each at `generation`.
+    fn evict_to(&mut self, cap: usize, generation: u64) {
         while self.resident.len() > cap {
-            let (&home, _) = self.resident.iter().next().expect("len > cap >= 0");
-            let stream = self.resident.remove(&home).expect("key just observed");
-            let frame = store::encode_frame(
-                home as u64,
-                write_gen,
-                &codec::encode(&stream.compact_checkpoint()),
-            );
-            match Self::put_with_retry(
-                &mut self.cold,
-                &mut self.retries,
-                cfg,
-                home,
-                write_gen,
-                &frame,
-            ) {
-                Ok(()) => self.evictions += 1,
-                Err(err) => self.quarantine(home, err),
-            }
-        }
-    }
-
-    /// Write-syncs every resident home's frame at `write_gen` (durable
-    /// mode only): after this, the store holds a current frame for
-    /// every non-quarantined home, which is what makes the round
-    /// recoverable.
-    fn sync_resident(&mut self, write_gen: u64, cfg: &FleetdConfig) {
-        let homes: Vec<usize> = self.resident.keys().copied().collect();
-        for home in homes {
-            let frame = store::encode_frame(
-                home as u64,
-                write_gen,
-                &codec::encode(&self.resident[&home].compact_checkpoint()),
-            );
-            if let Err(err) = Self::put_with_retry(
-                &mut self.cold,
-                &mut self.retries,
-                cfg,
-                home,
-                write_gen,
-                &frame,
-            ) {
-                self.quarantine(home, err);
+            let home = *self.resident.keys().next().expect("len > cap >= 0");
+            if self.write(home, generation) {
+                self.resident.remove(&home);
+                self.evictions += 1;
             }
         }
     }
 
     /// Feeds this round's chunk to every non-quarantined home of the
     /// shard, in home order, then enforces the residency cap and (in
-    /// durable mode) write-syncs the survivors.
-    fn admit_round<F>(&mut self, shard_homes: &[usize], round: u64, cfg: &FleetdConfig, gen: &F)
-    where
-        F: Fn(u64, u64, &mut Vec<Sample>),
-    {
-        let write_gen = round + 1;
+    /// durable mode) write-syncs every resident home, so the store holds
+    /// a current frame for every non-quarantined home — which is what
+    /// makes the round recoverable.
+    fn admit_round(
+        &mut self,
+        shard_homes: &[usize],
+        round: u64,
+        cfg: &FleetdConfig,
+        samples_per_home: usize,
+    ) {
         let mut chunk = Vec::new();
         for &home in shard_homes {
-            if self.quarantined.contains_key(&home) {
+            if self.quarantined.contains_key(&home)
+                || !self.make_resident(home, round, cfg, samples_per_home)
+            {
                 continue;
             }
-            if !self.make_resident(home, round, cfg, gen) {
-                continue;
-            }
-            gen(
+            synthetic_chunk(
                 derive_seed(cfg.root_seed, &format!("home:{home}")),
                 round,
+                samples_per_home,
                 &mut chunk,
             );
             let report = self
@@ -497,62 +471,37 @@ impl Shard {
                 .feed(&chunk);
             self.samples += report.items as u64;
         }
+        let write_gen = round + 1;
         if let Some(cap) = cfg.shard_cap() {
-            self.evict_to(cap, write_gen, cfg);
+            self.evict_to(cap, write_gen);
         }
         if cfg.durable_root().is_some() {
-            self.sync_resident(write_gen, cfg);
+            let homes: Vec<usize> = self.resident.keys().copied().collect();
+            for home in homes {
+                self.write(home, write_gen);
+            }
         }
     }
 
-    /// Validates every cold, non-quarantined home's frame at
-    /// `expected_gen`, applying the recovery policy to anything
-    /// unrecoverable (including homes scheduled for rebuild). Returns
-    /// `(rebuilt, newly_quarantined)`.
-    fn scrub<F>(
+    /// Loads every stored, non-quarantined home's record at `generation`
+    /// and settles anything unrecoverable. Returns `(rebuilt,
+    /// newly_quarantined)`.
+    fn scrub(
         &mut self,
         shard_homes: &[usize],
-        expected_gen: u64,
+        generation: u64,
         cfg: &FleetdConfig,
-        gen: &F,
-    ) -> (usize, usize)
-    where
-        F: Fn(u64, u64, &mut Vec<Sample>),
-    {
+        samples_per_home: usize,
+    ) -> (usize, usize) {
         let (mut rebuilt, mut newly_quarantined) = (0, 0);
         for &home in shard_homes {
             if self.resident.contains_key(&home) || self.quarantined.contains_key(&home) {
                 continue;
             }
-            let verdict = match self.cold.get(home) {
-                Ok(Some(bytes)) => store::validate_frame(&bytes, home, expected_gen).map(|_| ()),
-                Ok(None) if expected_gen == 0 && !self.rebuild.contains(&home) => Ok(()),
-                Ok(None) => Err(StoreError::Missing { home }),
-                Err(e) => Err(e),
-            };
-            let Err(err) = verdict else {
-                self.rebuild.remove(&home);
-                continue;
-            };
-            match cfg.recovery {
-                RecoveryPolicy::Rebuild => {
-                    // Rebuild into resident state rather than re-writing
-                    // the frame: store-fault decisions are deterministic
-                    // per (home, generation), so a re-put at the same
-                    // generation would be corrupted identically. Degraded
-                    // mode holds the home in memory — possibly above the
-                    // residency cap — until the next round evicts it at a
-                    // fresh generation.
-                    let stream = Self::replay(home, expected_gen, cfg, gen);
-                    self.cold.remove(home);
-                    self.resident.insert(home, stream);
-                    self.rebuild.remove(&home);
-                    self.rebuilds += 1;
-                    obs::counter_add("fleet.store_rebuilds", 1);
+            if let Err(err) = self.load(home, generation) {
+                if self.settle(home, generation, err, cfg, samples_per_home) {
                     rebuilt += 1;
-                }
-                RecoveryPolicy::Quarantine => {
-                    self.quarantine(home, err);
+                } else {
                     newly_quarantined += 1;
                 }
             }
@@ -560,47 +509,24 @@ impl Shard {
         (rebuilt, newly_quarantined)
     }
 
-    /// `(index, finalized series)` for every non-quarantined home of
-    /// the shard, resident or cold, in index order. Cold homes are
-    /// decoded into a transient stream; the shard is not mutated.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a cold frame fails validation at `expected_gen` —
-    /// run [`FleetService::scrub`] (or recover) first when store faults
-    /// may have corrupted frames since the last admission.
-    fn finalize_homes(&self, expected_gen: u64, cfg: &FleetdConfig) -> Vec<(usize, LabelSeries)> {
-        let mut out: Vec<(usize, LabelSeries)> = self
-            .resident
-            .iter()
-            .map(|(&home, s)| (home, s.finalize()))
-            .chain(
-                self.cold
-                    .contents()
-                    .into_iter()
-                    .filter(|(home, _)| {
-                        !self.resident.contains_key(home) && !self.quarantined.contains_key(home)
-                    })
-                    .map(|(home, _)| {
-                        let bytes = self
-                            .cold
-                            .get(home)
-                            .expect("listed frame must be readable")
-                            .expect("listed frame must exist");
-                        let cp = match store::validate_frame(&bytes, home, expected_gen) {
-                            Ok(cp) => cp,
-                            Err(e) => panic!(
-                                "cold frame for home {home} unrecoverable ({e}); \
-                                 scrub or recover the fleet before finalizing"
-                            ),
-                        };
-                        let s = ThresholdStream::from_compact(cfg.detector.clone(), cfg.spec, &cp);
-                        (home, s.finalize())
-                    }),
-            )
-            .collect();
-        out.sort_unstable_by_key(|&(home, _)| home);
-        out
+    /// `home`'s finalized series, without mutating the shard: `None` if
+    /// the home is quarantined or was never admitted, an error if its
+    /// stored record fails [`load`](Self::load) at `generation`.
+    fn finalize(
+        &self,
+        home: usize,
+        generation: u64,
+        cfg: &FleetdConfig,
+    ) -> Result<Option<LabelSeries>, StoreError> {
+        if self.quarantined.contains_key(&home) {
+            return Ok(None);
+        }
+        if let Some(s) = self.resident.get(&home) {
+            return Ok(Some(s.finalize()));
+        }
+        Ok(self.load(home, generation)?.map(|cp| {
+            ThresholdStream::from_compact(cfg.detector.clone(), cfg.spec, &cp).finalize()
+        }))
     }
 }
 
@@ -672,10 +598,13 @@ impl FleetService {
     ///
     /// Frames that fail validation (torn, bit-flipped, stale, or from a
     /// round whose manifest commit never landed) follow
-    /// `cfg.recovery`: rebuild scheduling or quarantine, itemized in
-    /// the returned [`RecoveryReport`]. The recovered service continues
-    /// with `admit_round(rounds(), ..)` and produces output
-    /// byte-identical to a never-interrupted run.
+    /// `cfg.recovery`: under [`RecoveryPolicy::Rebuild`] the bad record
+    /// stays in place until the next admission or [`scrub`](Self::scrub)
+    /// rebuilds it; under [`RecoveryPolicy::Quarantine`] the home is
+    /// quarantined now. Both are itemized in the returned
+    /// [`RecoveryReport`]. The recovered service continues with
+    /// `admit_round(rounds(), ..)` and produces output byte-identical
+    /// to a never-interrupted run.
     ///
     /// # Errors
     ///
@@ -707,7 +636,6 @@ impl FleetService {
                 cfg.shards
             )));
         }
-        let homes = manifest.homes as usize;
         let rounds = manifest.rounds;
         let mut shards = Vec::with_capacity(cfg.shards);
         for i in 0..cfg.shards {
@@ -718,52 +646,36 @@ impl FleetService {
             shard.samples = manifest.shard_samples[i];
             shards.push(shard);
         }
-        // Validate every home's frame at the committed generation, in
+        let mut svc = FleetService {
+            cfg,
+            homes: manifest.homes as usize,
+            shards,
+            rounds,
+        };
+        // Validate every home's record at the committed generation, in
         // parallel by shard; the verdicts are pure functions of the
         // stored bytes, so the report is thread-count independent.
-        let cfg_ref = &cfg;
-        let shards = rayon::parallel_map(
-            shards.into_iter().enumerate().collect(),
-            |(i, mut shard)| {
-                let shard_homes: Vec<usize> = (i..homes).step_by(cfg_ref.shards).collect();
-                for home in shard_homes {
-                    let verdict = match shard.cold.get(home) {
-                        Ok(Some(bytes)) => store::validate_frame(&bytes, home, rounds).map(|_| ()),
-                        Ok(None) if rounds == 0 => Ok(()),
-                        Ok(None) => Err(StoreError::Missing { home }),
-                        Err(e) => Err(e),
-                    };
-                    let Err(err) = verdict else { continue };
-                    match cfg_ref.recovery {
-                        RecoveryPolicy::Rebuild => {
-                            shard.cold.remove(home);
-                            shard.rebuild.insert(home);
-                        }
-                        RecoveryPolicy::Quarantine => shard.quarantine(home, err),
-                    }
+        let counts = svc.each_shard(true, |shard_homes, shard, cfg| {
+            let (mut recovered, mut scheduled) = (0, 0);
+            for &home in shard_homes {
+                match shard.load(home, rounds) {
+                    Ok(record) => recovered += usize::from(record.is_some()),
+                    Err(_) if cfg.recovery == RecoveryPolicy::Rebuild => scheduled += 1,
+                    Err(err) => shard.quarantine(home, err),
                 }
-                shard
-            },
-        );
-        let mut report = RecoveryReport::default();
-        for shard in &shards {
-            report.scheduled_rebuilds += shard.rebuild.len();
-            report
-                .quarantined
-                .extend(shard.quarantined.iter().map(|(&h, e)| (h, e.clone())));
-            report.recovered += shard.cold.contents().len();
+            }
+            (recovered, scheduled)
+        });
+        let mut report = RecoveryReport {
+            quarantined: svc.quarantined(),
+            ..RecoveryReport::default()
+        };
+        for (recovered, scheduled) in counts {
+            report.recovered += recovered;
+            report.scheduled_rebuilds += scheduled;
         }
-        report.quarantined.sort_unstable_by_key(|&(home, _)| home);
         obs::gauge_set("fleetd.recovered_homes", report.recovered as f64);
-        Ok((
-            FleetService {
-                cfg,
-                homes,
-                shards,
-                rounds,
-            },
-            report,
-        ))
+        Ok((svc, report))
     }
 
     /// The service's configuration.
@@ -781,107 +693,93 @@ impl FleetService {
         self.rounds
     }
 
-    fn shard_homes(&self, shard: usize) -> Vec<usize> {
-        (shard..self.homes).step_by(self.cfg.shards).collect()
-    }
-
-    /// Admits one round of [`synthetic_chunk`](crate::synthetic_chunk)
-    /// readings (`samples_per_home` each), shards in parallel.
+    /// Admits round `round` of [`synthetic_chunk`](crate::synthetic_chunk)
+    /// readings (`samples_per_home` each). Shards run in parallel;
+    /// within a shard homes are fed in index order, so fleet state after
+    /// the round is independent of thread count. In degraded mode the
+    /// same generator replays a lost home's completed rounds, so
+    /// `samples_per_home` must be the same every round.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `round == self.rounds()`: rounds run in order from
+    /// 0 (or from a recovered fleet's [`rounds`](Self::rounds)), each
+    /// exactly once.
     pub fn admit_round(&mut self, round: u64, samples_per_home: usize) {
-        self.admit_round_with(round, &|seed, round, out| {
-            crate::gen::synthetic_chunk(seed, round, samples_per_home, out)
-        });
+        self.admit(round, samples_per_home, true);
     }
 
     /// Serial reference for [`admit_round`](Self::admit_round): the
     /// determinism tests assert both leave identical state.
+    ///
+    /// # Panics
+    ///
+    /// As [`admit_round`](Self::admit_round).
     pub fn admit_round_serial(&mut self, round: u64, samples_per_home: usize) {
-        self.admit_round_with_serial(round, &|seed, round, out| {
-            crate::gen::synthetic_chunk(seed, round, samples_per_home, out)
+        self.admit(round, samples_per_home, false);
+    }
+
+    /// The one engine behind [`admit_round`](Self::admit_round) and its
+    /// serial reference; they differ only in `parallel`.
+    fn admit(&mut self, round: u64, samples_per_home: usize, parallel: bool) {
+        assert_eq!(
+            round, self.rounds,
+            "admission round {round} out of order: expected round {}",
+            self.rounds
+        );
+        let _span = obs::span("fleetd.admit");
+        self.each_shard(parallel, |shard_homes, shard, cfg| {
+            shard.admit_round(shard_homes, round, cfg, samples_per_home)
         });
-    }
-
-    /// Admits one round with a caller-supplied chunk generator, run as
-    /// `gen(home_seed, round, &mut chunk)` per home. Shards run in
-    /// parallel; within a shard homes are fed in index order, so fleet
-    /// state after the round is independent of thread count. Rounds are
-    /// sequential from 0 — in degraded mode the generator is also what
-    /// replays a lost home's completed rounds, so it must be the same
-    /// function every round.
-    pub fn admit_round_with<F>(&mut self, round: u64, gen: &F)
-    where
-        F: Fn(u64, u64, &mut Vec<Sample>) + Sync,
-    {
-        let _span = obs::span("fleetd.admit");
-        let cfg = self.cfg.clone();
-        let homes = self.homes;
-        let taken = std::mem::take(&mut self.shards);
-        self.shards =
-            rayon::parallel_map(taken.into_iter().enumerate().collect(), |(i, mut shard)| {
-                let shard_homes: Vec<usize> = (i..homes).step_by(cfg.shards).collect();
-                shard.admit_round(&shard_homes, round, &cfg, gen);
-                shard
-            });
         self.finish_round();
     }
 
-    /// Serial reference for [`admit_round_with`](Self::admit_round_with).
-    pub fn admit_round_with_serial<F>(&mut self, round: u64, gen: &F)
-    where
-        F: Fn(u64, u64, &mut Vec<Sample>),
-    {
-        let _span = obs::span("fleetd.admit");
-        let cfg = self.cfg.clone();
-        for i in 0..self.shards.len() {
-            let shard_homes = self.shard_homes(i);
-            self.shards[i].admit_round(&shard_homes, round, &cfg, gen);
-        }
-        self.finish_round();
-    }
-
-    /// Validates every cold home's frame at the current round counter,
+    /// Loads every stored home's record at the current round counter,
     /// rebuilding or quarantining anything unrecoverable per the
-    /// recovery policy. Returns `(rebuilt, newly_quarantined)`. Run
-    /// this before digesting a fleet whose final round may have written
+    /// recovery policy. Returns `(rebuilt, newly_quarantined)`.
+    /// `samples_per_home` must match what
+    /// [`admit_round`](Self::admit_round) was called with. Run this
+    /// before digesting a fleet whose final round may have written
     /// corrupted frames (injected store faults), and after a
     /// [`recover`](Self::recover) that scheduled rebuilds if no further
     /// rounds will be admitted.
-    pub fn scrub_with<F>(&mut self, gen: &F) -> (usize, usize)
-    where
-        F: Fn(u64, u64, &mut Vec<Sample>) + Sync,
-    {
+    pub fn scrub(&mut self, samples_per_home: usize) -> (usize, usize) {
         let _span = obs::span("fleetd.scrub");
-        let cfg = self.cfg.clone();
-        let homes = self.homes;
-        let rounds = self.rounds;
-        let taken = std::mem::take(&mut self.shards);
-        let mut rebuilt = 0;
-        let mut quarantined = 0;
-        let results =
-            rayon::parallel_map(taken.into_iter().enumerate().collect(), |(i, mut shard)| {
-                let shard_homes: Vec<usize> = (i..homes).step_by(cfg.shards).collect();
-                let counts = shard.scrub(&shard_homes, rounds, &cfg, gen);
-                (shard, counts)
-            });
-        self.shards = results
-            .into_iter()
-            .map(|(shard, (r, q))| {
-                rebuilt += r;
-                quarantined += q;
-                shard
-            })
-            .collect();
-        (rebuilt, quarantined)
+        let generation = self.rounds;
+        self.each_shard(true, |shard_homes, shard, cfg| {
+            shard.scrub(shard_homes, generation, cfg, samples_per_home)
+        })
+        .into_iter()
+        .fold((0, 0), |(r, q), (dr, dq)| (r + dr, q + dq))
     }
 
-    /// [`scrub_with`](Self::scrub_with) over the default
-    /// [`synthetic_chunk`](crate::synthetic_chunk) generator at
-    /// `samples_per_home` per round (must match what
-    /// [`admit_round`](Self::admit_round) was called with).
-    pub fn scrub(&mut self, samples_per_home: usize) -> (usize, usize) {
-        self.scrub_with(&|seed, round, out| {
-            crate::gen::synthetic_chunk(seed, round, samples_per_home, out)
-        })
+    /// Runs `f(shard_homes, shard, cfg)` on every shard, with the
+    /// shard's homes in index order — on the thread pool when
+    /// `parallel`, else in shard order — and returns the results in
+    /// shard order.
+    fn each_shard<R, F>(&mut self, parallel: bool, f: F) -> Vec<R>
+    where
+        R: Send,
+        F: Fn(&[usize], &mut Shard, &FleetdConfig) -> R + Sync,
+    {
+        let (cfg, homes) = (&self.cfg, self.homes);
+        let run = |(i, mut shard): (usize, Shard)| {
+            let shard_homes: Vec<usize> = (i..homes).step_by(cfg.shards).collect();
+            let out = f(&shard_homes, &mut shard, cfg);
+            (shard, out)
+        };
+        let taken: Vec<(usize, Shard)> = std::mem::take(&mut self.shards)
+            .into_iter()
+            .enumerate()
+            .collect();
+        let done = if parallel {
+            rayon::parallel_map(taken, run)
+        } else {
+            taken.into_iter().map(run).collect()
+        };
+        let (shards, out) = done.into_iter().unzip();
+        self.shards = shards;
+        out
     }
 
     fn commit_manifest(&self) {
@@ -927,10 +825,9 @@ impl FleetService {
     /// the current round counter, so a following
     /// [`recover`](Self::recover) sees them as current.
     pub fn evict_all(&mut self) {
-        let cfg = self.cfg.clone();
-        let write_gen = self.rounds;
+        let generation = self.rounds;
         for shard in &mut self.shards {
-            shard.evict_to(0, write_gen, &cfg);
+            shard.evict_to(0, generation);
         }
     }
 
@@ -1001,48 +898,53 @@ impl FleetService {
     }
 
     /// Finalizes one home's occupancy series without mutating the fleet
-    /// (`None` if the home was never admitted a chunk or is
-    /// quarantined).
+    /// (`None` if the home was never admitted a chunk, is quarantined,
+    /// or its stored record is unrecoverable).
     pub fn finalize_home(&self, home: usize) -> Option<LabelSeries> {
         if home >= self.homes {
             return None;
         }
-        let shard = &self.shards[home % self.cfg.shards];
-        if shard.quarantined.contains_key(&home) {
-            return None;
-        }
-        if let Some(s) = shard.resident.get(&home) {
-            return Some(s.finalize());
-        }
-        let bytes = shard.cold.get(home).ok()??;
-        let cp = store::validate_frame(&bytes, home, self.rounds).ok()?;
-        Some(
-            ThresholdStream::from_compact(self.cfg.detector.clone(), self.cfg.spec, &cp).finalize(),
-        )
+        self.shards[home % self.cfg.shards]
+            .finalize(home, self.rounds, &self.cfg)
+            .ok()
+            .flatten()
     }
 
     /// Finalizes every admitted, non-quarantined home (in parallel,
     /// shard by shard) and folds the outputs into a [`FleetDigest`] in
     /// home-index order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a home's stored record is unrecoverable — a bad record
+    /// a round wrote under injected store faults, or one
+    /// [`recover`](Self::recover) scheduled for rebuild — rather than
+    /// silently dropping the home: run [`scrub`](Self::scrub) first.
     pub fn digest(&self) -> FleetDigest {
         let _span = obs::span("fleetd.digest");
-        let cfg = &self.cfg;
-        let rounds = self.rounds;
-        let per_shard = rayon::parallel_map(self.shards.iter().collect(), |shard| {
-            shard
-                .finalize_homes(rounds, cfg)
-                .into_iter()
-                .map(|(home, series)| {
-                    let mut h = FNV_OFFSET;
-                    h = fnv_u64(h, home as u64);
-                    h = fnv_u64(h, series.len() as u64);
-                    for &b in series.labels() {
-                        h = fnv_byte(h, b as u8);
-                    }
-                    let positives = series.labels().iter().filter(|&&b| b).count() as u64;
-                    (home, h, positives)
-                })
-                .collect::<Vec<_>>()
+        let (cfg, homes, rounds) = (&self.cfg, self.homes, self.rounds);
+        let shards: Vec<(usize, &Shard)> = self.shards.iter().enumerate().collect();
+        let per_shard = rayon::parallel_map(shards, |(i, shard)| {
+            let mut out = Vec::new();
+            for home in (i..homes).step_by(cfg.shards) {
+                let series = match shard.finalize(home, rounds, cfg) {
+                    Ok(Some(series)) => series,
+                    Ok(None) => continue,
+                    Err(e) => panic!(
+                        "stored record for home {home} unrecoverable ({e}); \
+                         scrub or recover the fleet before finalizing"
+                    ),
+                };
+                let mut h = FNV_OFFSET;
+                h = fnv_u64(h, home as u64);
+                h = fnv_u64(h, series.len() as u64);
+                for &b in series.labels() {
+                    h = fnv_byte(h, b as u8);
+                }
+                let positives = series.labels().iter().filter(|&&b| b).count() as u64;
+                out.push((home, h, positives));
+            }
+            out
         });
         let mut all: Vec<(usize, u64, u64)> = per_shard.into_iter().flatten().collect();
         all.sort_unstable_by_key(|&(home, _, _)| home);
@@ -1133,6 +1035,19 @@ mod tests {
         assert_eq!(mem.cold_homes, 100);
         assert!(mem.resident_bytes == 0 && mem.cold_bytes > 0);
         assert_eq!(svc.digest(), before, "evict_all must not change output");
+    }
+
+    #[test]
+    #[should_panic(expected = "admission round 1 out of order: expected round 0")]
+    fn skipped_round_is_rejected() {
+        FleetService::new(FleetdConfig::default(), 10).admit_round(1, 30);
+    }
+
+    #[test]
+    #[should_panic(expected = "admission round 0 out of order: expected round 1")]
+    fn repeated_round_is_rejected() {
+        let mut svc = run(FleetdConfig::default(), 10, 1, true);
+        svc.admit_round_serial(0, 30);
     }
 
     #[test]

@@ -242,37 +242,83 @@ fn transient_store_faults_are_retried_and_output_identical() {
 }
 
 #[test]
-fn full_fault_ladder_rebuilds_to_identical_output() {
-    let root_a = temp_root("ladder-clean");
-    let root_b = temp_root("ladder-faulted");
-    let clean = full_run(durable_cfg(&root_a));
-    let faulted_cfg = FleetdConfig {
-        store_faults: FaultPlan::store_profile(0.6),
-        recovery: RecoveryPolicy::Rebuild,
-        ..durable_cfg(&root_b)
-    };
-    let mut faulted = full_run(faulted_cfg);
-    // The final round's writes can be corrupted too; scrub validates
-    // every cold frame and rebuilds the casualties before digesting.
-    let (rebuilt, quarantined) = faulted.scrub(SAMPLES);
-    assert_eq!(quarantined, 0, "rebuild policy never quarantines here");
-    assert!(
-        faulted.store_rebuilds() > 0,
-        "profile 0.6 must corrupt some of the thousands of writes"
-    );
-    let _ = rebuilt;
+fn digest_refuses_scheduled_rebuilds_until_scrubbed() {
+    let root = temp_root("digest-before-scrub");
+    let cfg = durable_cfg(&root);
+    let baseline = full_run(cfg.clone()).digest();
 
-    assert_eq!(faulted.digest(), clean.digest());
-    for home in [0, 42, 137, 256, HOMES - 1] {
-        assert_eq!(
-            faulted.finalize_home(home),
-            clean.finalize_home(home),
-            "home {home}"
-        );
+    // Tear three homes' frames on disk, then reopen under the default
+    // rebuild policy: the torn records stay in place, scheduled.
+    let torn_homes = [5usize, 120, 398];
+    for &home in &torn_homes {
+        let path = durable_home_path(&root, cfg.shards, home);
+        let bytes = std::fs::read(&path).expect("synced frame exists");
+        std::fs::write(&path, &bytes[..bytes.len() / 2]).unwrap();
+    }
+    let (mut recovered, report) = FleetService::recover(cfg).expect("manifest is intact");
+    assert_eq!(report.scheduled_rebuilds, torn_homes.len());
+    assert_eq!(report.recovered, HOMES - torn_homes.len());
+
+    // A digest now would silently drop the torn homes; it must refuse.
+    let early = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| recovered.digest()));
+    assert!(early.is_err(), "digest must panic before the scrub");
+    for &home in &torn_homes {
+        assert!(recovered.finalize_home(home).is_none());
     }
 
+    assert_eq!(recovered.scrub(SAMPLES), (torn_homes.len(), 0));
+    let digest = recovered.digest();
+    assert_eq!(digest.homes, HOMES);
+    assert_eq!(digest, baseline);
+
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn full_fault_ladder_matches_clean_run_under_each_policy() {
+    let root_a = temp_root("ladder-clean");
+    let clean = full_run(durable_cfg(&root_a));
+    for policy in [RecoveryPolicy::Rebuild, RecoveryPolicy::Quarantine] {
+        let root_b = temp_root(&format!("ladder-{policy:?}"));
+        let mut faulted = full_run(FleetdConfig {
+            store_faults: FaultPlan::store_profile(0.6),
+            recovery: policy,
+            ..durable_cfg(&root_b)
+        });
+        // The final round's writes can be corrupted too; scrub loads
+        // every stored frame and settles the casualties before digesting.
+        let (_, scrub_quarantined) = faulted.scrub(SAMPLES);
+        let quarantined: Vec<usize> = faulted.quarantined().iter().map(|&(h, _)| h).collect();
+        match policy {
+            RecoveryPolicy::Rebuild => {
+                assert_eq!(scrub_quarantined, 0, "rebuild policy never quarantines");
+                assert!(quarantined.is_empty());
+                assert!(
+                    faulted.store_rebuilds() > 0,
+                    "profile 0.6 must corrupt some of the thousands of writes"
+                );
+                assert_eq!(faulted.digest(), clean.digest());
+            }
+            RecoveryPolicy::Quarantine => {
+                assert!(!quarantined.is_empty(), "profile 0.6 must quarantine some");
+                assert!(quarantined.windows(2).all(|w| w[0] < w[1]), "home order");
+                assert_eq!(faulted.store_rebuilds(), 0);
+            }
+        }
+
+        assert_eq!(faulted.digest().homes + faulted.quarantined_count(), HOMES);
+        for home in 0..HOMES {
+            let want = if quarantined.binary_search(&home).is_ok() {
+                None
+            } else {
+                clean.finalize_home(home)
+            };
+            assert_eq!(faulted.finalize_home(home), want, "{policy:?} home {home}");
+        }
+
+        let _ = std::fs::remove_dir_all(&root_b);
+    }
     let _ = std::fs::remove_dir_all(&root_a);
-    let _ = std::fs::remove_dir_all(&root_b);
 }
 
 #[test]
