@@ -1,4 +1,9 @@
-//! Compact binary codec for evicted per-home checkpoints.
+//! The byte format layer of the cold tier, and the checkpoint codec.
+//!
+//! Three stored formats share one byte writer, one byte reader and one
+//! offset-carrying [`FormatError`]: the checkpoint (`FDC1`, here), the
+//! CRC frame around it and the fleet manifest (`FDS1` and `FDM1`, in
+//! [`store`](crate::store)).
 //!
 //! An evicted home is exactly one encoded
 //! [`stream::WindowCheckpoint`]: the fill automaton
@@ -25,72 +30,181 @@ use timeseries::Summary;
 /// First four bytes of every encoded checkpoint.
 pub const MAGIC: [u8; 4] = *b"FDC1";
 
-/// Why a byte buffer failed to decode as a checkpoint.
+/// Offset of the window geometry (`next`, then `open`) in an encoded
+/// checkpoint.
+pub(crate) const GEOMETRY_AT: usize = 13;
+
+/// Why a byte buffer failed to parse as a checkpoint, a frame or a
+/// manifest.
 ///
-/// Every variant carries the byte offset it is anchored at (see
-/// [`CodecError::offset`]) so recovery logs can name *where* a stored
+/// Every variant is anchored at a byte offset (see
+/// [`FormatError::offset`]) so recovery logs can name *where* a stored
 /// record went bad, not just that it did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CodecError {
-    /// Buffer ended before the structure it promised; `offset` is the
-    /// position of the field that could not be read.
+pub enum FormatError {
+    /// Buffer ended before the structure it promised: at the field that
+    /// could not be read, or — for a record whose header declares its
+    /// length — at the buffer's end.
     Truncated {
         /// Byte position at which more input was required.
         offset: usize,
     },
-    /// The buffer doesn't start with [`MAGIC`].
+    /// The buffer doesn't start with the format's magic (offset 0).
     BadMagic,
-    /// Unknown fill-automaton tag at `offset`.
+    /// Unknown checkpoint fill-automaton tag at `offset`.
     BadFillTag {
         /// The unrecognized tag byte.
         tag: u8,
         /// Byte position of the tag.
         offset: usize,
     },
-    /// Bytes remain after a complete checkpoint ending at `offset`.
+    /// The CRC32 stored at `offset` doesn't match the record's contents.
+    CrcMismatch {
+        /// Byte position of the stored CRC.
+        offset: usize,
+        /// CRC stored in the record.
+        stored: u32,
+        /// CRC computed over the record's contents.
+        computed: u32,
+    },
+    /// Bytes remain past a complete record.
     TrailingBytes {
-        /// Byte position where the checkpoint ended.
+        /// Byte position the error is anchored at: where a checkpoint or
+        /// manifest ended, or where the payload whose declared length the
+        /// buffer overruns starts in a frame.
         offset: usize,
         /// Number of surplus bytes.
         trailing: usize,
     },
 }
 
-impl CodecError {
-    /// Byte offset the error is anchored at: where input ran out, where
-    /// the bad tag sits, or where surplus bytes begin (0 for a bad
-    /// magic).
+impl FormatError {
+    /// Byte offset the error is anchored at.
     pub fn offset(&self) -> usize {
         match *self {
-            CodecError::Truncated { offset } => offset,
-            CodecError::BadMagic => 0,
-            CodecError::BadFillTag { offset, .. } => offset,
-            CodecError::TrailingBytes { offset, .. } => offset,
+            FormatError::BadMagic => 0,
+            FormatError::Truncated { offset }
+            | FormatError::BadFillTag { offset, .. }
+            | FormatError::CrcMismatch { offset, .. }
+            | FormatError::TrailingBytes { offset, .. } => offset,
         }
     }
 }
 
-impl std::fmt::Display for CodecError {
+impl std::fmt::Display for FormatError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            CodecError::Truncated { offset } => {
-                write!(f, "checkpoint buffer truncated at byte {offset}")
-            }
-            CodecError::BadMagic => write!(f, "checkpoint magic mismatch at byte 0"),
-            CodecError::BadFillTag { tag, offset } => {
+            FormatError::Truncated { offset } => write!(f, "truncated at byte {offset}"),
+            FormatError::BadMagic => write!(f, "magic mismatch at byte 0"),
+            FormatError::BadFillTag { tag, offset } => {
                 write!(f, "unknown fill tag {tag} at byte {offset}")
             }
-            CodecError::TrailingBytes { offset, trailing } => {
-                write!(
-                    f,
-                    "{trailing} trailing bytes after checkpoint end at byte {offset}"
-                )
+            FormatError::CrcMismatch {
+                offset,
+                stored,
+                computed,
+            } => write!(
+                f,
+                "crc mismatch at byte {offset} (stored {stored:#010x}, computed {computed:#010x})"
+            ),
+            FormatError::TrailingBytes { offset, trailing } => {
+                write!(f, "{trailing} trailing bytes at byte {offset}")
             }
         }
     }
 }
 
-impl std::error::Error for CodecError {}
+impl std::error::Error for FormatError {}
+
+/// Little-endian byte writer shared by the three formats, the mirror of
+/// the reader below.
+pub(crate) struct Writer(pub(crate) Vec<u8>);
+
+impl Writer {
+    pub(crate) fn bytes(&mut self, bytes: &[u8]) -> &mut Writer {
+        self.0.extend_from_slice(bytes);
+        self
+    }
+
+    pub(crate) fn u32(&mut self, v: u32) -> &mut Writer {
+        self.bytes(&v.to_le_bytes())
+    }
+
+    pub(crate) fn u64(&mut self, v: u64) -> &mut Writer {
+        self.bytes(&v.to_le_bytes())
+    }
+
+    pub(crate) fn f64(&mut self, v: f64) -> &mut Writer {
+        self.u64(v.to_bits())
+    }
+}
+
+/// Little-endian byte reader shared by the three formats: every read
+/// past the end is a [`FormatError::Truncated`] at the field it failed
+/// on, never a panic.
+pub(crate) struct Reader<'a> {
+    buf: &'a [u8],
+    at: usize,
+}
+
+impl<'a> Reader<'a> {
+    pub(crate) fn new(buf: &'a [u8]) -> Reader<'a> {
+        Reader { buf, at: 0 }
+    }
+
+    /// Fails unless the buffer holds at least `len` bytes in all — the
+    /// check of a record whose header declares its length, reported at
+    /// the buffer's end.
+    pub(crate) fn need(&self, len: usize) -> Result<(), FormatError> {
+        if self.buf.len() < len {
+            return Err(FormatError::Truncated {
+                offset: self.buf.len(),
+            });
+        }
+        Ok(())
+    }
+
+    pub(crate) fn take(&mut self, n: usize) -> Result<&'a [u8], FormatError> {
+        let end = self
+            .at
+            .checked_add(n)
+            .filter(|&end| end <= self.buf.len())
+            .ok_or(FormatError::Truncated { offset: self.at })?;
+        let s = &self.buf[self.at..end];
+        self.at = end;
+        Ok(s)
+    }
+
+    pub(crate) fn magic(&mut self, magic: [u8; 4]) -> Result<(), FormatError> {
+        if self.take(4)? != magic {
+            return Err(FormatError::BadMagic);
+        }
+        Ok(())
+    }
+
+    pub(crate) fn u32(&mut self) -> Result<u32, FormatError> {
+        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
+    }
+
+    pub(crate) fn u64(&mut self) -> Result<u64, FormatError> {
+        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+    }
+
+    pub(crate) fn f64(&mut self) -> Result<f64, FormatError> {
+        Ok(f64::from_bits(self.u64()?))
+    }
+
+    /// Fails if bytes remain past the reader's position.
+    pub(crate) fn finish(&self) -> Result<(), FormatError> {
+        if self.at != self.buf.len() {
+            return Err(FormatError::TrailingBytes {
+                offset: self.at,
+                trailing: self.buf.len() - self.at,
+            });
+        }
+        Ok(())
+    }
+}
 
 /// Serializes a checkpoint into the compact binary layout.
 ///
@@ -109,29 +223,35 @@ impl std::error::Error for CodecError {}
 /// assert_eq!(fleetd::codec::decode(&bytes).unwrap(), cp);
 /// ```
 pub fn encode(cp: &WindowCheckpoint) -> Vec<u8> {
-    let mut out = Vec::with_capacity(encoded_len(cp));
-    out.extend_from_slice(&MAGIC);
+    let mut w = Writer(Vec::with_capacity(encoded_len(cp)));
+    write(&mut w, cp);
+    w.0
+}
+
+/// Appends `cp` in the checkpoint layout — [`encode`] into a buffer
+/// that may already hold a frame header.
+pub(crate) fn write(w: &mut Writer, cp: &WindowCheckpoint) {
     let (tag, payload): (u8, u64) = match cp.fill {
         FillCheckpoint::Passthrough => (0, 0),
         FillCheckpoint::Zero => (1, 0),
         FillCheckpoint::HoldPending(n) => (2, n),
-        FillCheckpoint::HoldLast(w) => (3, w.to_bits()),
+        FillCheckpoint::HoldLast(watts) => (3, watts.to_bits()),
     };
-    out.push(tag);
-    out.extend_from_slice(&payload.to_le_bytes());
-    out.extend_from_slice(&cp.next_start.to_le_bytes());
-    out.extend_from_slice(&(cp.open.len() as u32).to_le_bytes());
+    w.bytes(&MAGIC)
+        .bytes(&[tag])
+        .u64(payload)
+        .u64(cp.next_start)
+        .u32(cp.open.len() as u32);
     for &x in &cp.open {
-        out.extend_from_slice(&x.to_le_bytes());
+        w.f64(x);
     }
-    out.extend_from_slice(&(cp.closed.len() as u32).to_le_bytes());
+    w.u32(cp.closed.len() as u32);
     for &(start, s) in &cp.closed {
-        out.extend_from_slice(&start.to_le_bytes());
+        w.u64(start);
         for v in [s.mean, s.variance, s.range, s.min, s.max] {
-            out.extend_from_slice(&v.to_le_bytes());
+            w.f64(v);
         }
     }
-    out
 }
 
 /// Exact byte length [`encode`] produces for `cp` — the cold-store cost
@@ -140,55 +260,16 @@ pub fn encoded_len(cp: &WindowCheckpoint) -> usize {
     4 + 9 + 8 + 4 + 8 * cp.open.len() + 4 + 48 * cp.closed.len()
 }
 
-struct Reader<'a> {
-    buf: &'a [u8],
-    at: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
-        let end = self
-            .at
-            .checked_add(n)
-            .ok_or(CodecError::Truncated { offset: self.at })?;
-        if end > self.buf.len() {
-            return Err(CodecError::Truncated { offset: self.at });
-        }
-        let s = &self.buf[self.at..end];
-        self.at = end;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8, CodecError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, CodecError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64, CodecError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn f64(&mut self) -> Result<f64, CodecError> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-}
-
 /// Deserializes a buffer produced by [`encode`].
 ///
 /// # Errors
 ///
-/// [`CodecError`] on truncation, magic mismatch, an unknown fill tag, or
+/// [`FormatError`] on truncation, magic mismatch, an unknown fill tag, or
 /// trailing bytes. Never panics on malformed input.
-pub fn decode(bytes: &[u8]) -> Result<WindowCheckpoint, CodecError> {
-    let mut r = Reader { buf: bytes, at: 0 };
-    if r.take(4)? != MAGIC {
-        return Err(CodecError::BadMagic);
-    }
-    let tag_at = r.at;
-    let tag = r.u8()?;
+pub fn decode(bytes: &[u8]) -> Result<WindowCheckpoint, FormatError> {
+    let mut r = Reader::new(bytes);
+    r.magic(MAGIC)?;
+    let tag = r.take(1)?[0];
     let payload = r.u64()?;
     let fill = match tag {
         0 => FillCheckpoint::Passthrough,
@@ -196,9 +277,9 @@ pub fn decode(bytes: &[u8]) -> Result<WindowCheckpoint, CodecError> {
         2 => FillCheckpoint::HoldPending(payload),
         3 => FillCheckpoint::HoldLast(f64::from_bits(payload)),
         tag => {
-            return Err(CodecError::BadFillTag {
+            return Err(FormatError::BadFillTag {
                 tag,
-                offset: tag_at,
+                offset: MAGIC.len(),
             })
         }
     };
@@ -212,28 +293,16 @@ pub fn decode(bytes: &[u8]) -> Result<WindowCheckpoint, CodecError> {
     let mut closed = Vec::with_capacity(closed_len.min(bytes.len() / 48));
     for _ in 0..closed_len {
         let start = r.u64()?;
-        let mean = r.f64()?;
-        let variance = r.f64()?;
-        let range = r.f64()?;
-        let min = r.f64()?;
-        let max = r.f64()?;
-        closed.push((
-            start,
-            Summary {
-                mean,
-                variance,
-                range,
-                min,
-                max,
-            },
-        ));
+        let summary = Summary {
+            mean: r.f64()?,
+            variance: r.f64()?,
+            range: r.f64()?,
+            min: r.f64()?,
+            max: r.f64()?,
+        };
+        closed.push((start, summary));
     }
-    if r.at != bytes.len() {
-        return Err(CodecError::TrailingBytes {
-            offset: r.at,
-            trailing: bytes.len() - r.at,
-        });
-    }
+    r.finish()?;
     Ok(WindowCheckpoint {
         fill,
         next_start,
@@ -313,8 +382,8 @@ mod tests {
     #[test]
     fn malformed_buffers_error_not_panic() {
         let good = encode(&sample_checkpoint());
-        assert_eq!(decode(&[]), Err(CodecError::Truncated { offset: 0 }));
-        assert_eq!(decode(b"NOPE"), Err(CodecError::BadMagic));
+        assert_eq!(decode(&[]), Err(FormatError::Truncated { offset: 0 }));
+        assert_eq!(decode(b"NOPE"), Err(FormatError::BadMagic));
         for cut in 0..good.len() {
             let err = decode(&good[..cut]).expect_err("every prefix must fail");
             assert!(err.offset() <= cut, "cut {cut}: {err}");
@@ -323,7 +392,7 @@ mod tests {
         trailing.push(0);
         assert_eq!(
             decode(&trailing),
-            Err(CodecError::TrailingBytes {
+            Err(FormatError::TrailingBytes {
                 offset: good.len(),
                 trailing: 1
             })
@@ -332,7 +401,7 @@ mod tests {
         bad_tag[4] = 9;
         assert_eq!(
             decode(&bad_tag),
-            Err(CodecError::BadFillTag { tag: 9, offset: 4 })
+            Err(FormatError::BadFillTag { tag: 9, offset: 4 })
         );
     }
 
@@ -348,7 +417,7 @@ mod tests {
         bytes.extend_from_slice(&u32::MAX.to_le_bytes());
         assert_eq!(
             decode(&bytes),
-            Err(CodecError::Truncated {
+            Err(FormatError::Truncated {
                 offset: bytes.len()
             })
         );

@@ -57,8 +57,8 @@
 //!
 //! Admission and lifecycle emit `fleetd.*` counters/gauges into the
 //! global [`obs`] registry, scrapeable as Prometheus text via
-//! [`MetricsServer`] (or dumped with [`write_prometheus`]) — see
-//! `docs/OBSERVABILITY.md` for the exposition format.
+//! [`MetricsServer`] — see `docs/OBSERVABILITY.md` for the exposition
+//! format.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -70,7 +70,7 @@ mod service;
 pub mod store;
 
 pub use gen::synthetic_chunk;
-pub use metrics::{write_prometheus, MetricsServer, ServeError};
+pub use metrics::{MetricsServer, ServeError};
 pub use service::{
     FleetDigest, FleetService, FleetdConfig, MemoryStats, RecoverError, RecoveryPolicy,
     RecoveryReport, StoreConfig,

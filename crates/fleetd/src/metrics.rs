@@ -5,9 +5,7 @@
 //! listener and serves the registry's Prometheus text rendering
 //! ([`obs::MetricsReport::to_prometheus_text`]) at `GET /metrics`, one
 //! short-lived connection per scrape — the standard pull model, sized
-//! for a per-host scraper, not the public internet. For batch runs
-//! without a scraper, [`write_prometheus`] dumps the same rendering to
-//! a file (the `fleet_scale --prom` sidecar).
+//! for a per-host scraper, not the public internet.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -208,14 +206,4 @@ fn serve_one(stream: TcpStream, read_timeout: Duration) -> Result<(), ServeError
         body.len()
     )?;
     Ok(())
-}
-
-/// Dumps the global registry's Prometheus text rendering to `path` —
-/// the file-dump alternative to running a [`MetricsServer`].
-///
-/// # Errors
-///
-/// Propagates the underlying file write failure.
-pub fn write_prometheus(path: &std::path::Path) -> std::io::Result<()> {
-    std::fs::write(path, obs::snapshot().to_prometheus_text())
 }

@@ -35,7 +35,7 @@ use faults::{FaultPlan, StoreFaultInjector};
 use niom::ThresholdDetector;
 use std::collections::BTreeMap;
 use std::path::PathBuf;
-use stream::{StreamFill, StreamSpec, StreamState, ThresholdStream, WindowCheckpoint};
+use stream::{StreamFill, StreamSpec, StreamState, ThresholdStream};
 use timeseries::rng::derive_seed;
 use timeseries::{LabelSeries, Resolution, Timestamp};
 
@@ -299,17 +299,36 @@ impl Shard {
         }
     }
 
-    /// Reads and validates `home`'s stored record at `generation` — the
-    /// one check every stored record goes through. `Ok(None)` means the
-    /// home has no record yet, which is allowed only at generation 0:
-    /// rounds run in order from 0 and every home is fed every round, so
-    /// a missing record after round 0 is a lost one.
-    fn load(&self, home: usize, generation: u64) -> Result<Option<WindowCheckpoint>, StoreError> {
-        match self.cold.get(home)? {
-            Some(bytes) => store::validate_frame(&bytes, home, generation).map(Some),
-            None if generation == 0 => Ok(None),
-            None => Err(StoreError::Missing { home }),
-        }
+    /// Reads and validates `home`'s stored record at `generation` and
+    /// rebuilds its stream — the one check every stored record goes
+    /// through. A record the configured detector window can never reach
+    /// is corrupt too, anchored at its window geometry. `Ok(None)` means
+    /// the home has no record yet, which is allowed only at generation
+    /// 0: rounds run in order from 0 and every home is fed every round,
+    /// so a missing record after round 0 is a lost one.
+    fn load(
+        &self,
+        home: usize,
+        generation: u64,
+        cfg: &FleetdConfig,
+    ) -> Result<Option<ThresholdStream>, StoreError> {
+        let cp = match self.cold.get(home)? {
+            Some(bytes) => store::validate_frame(&bytes, home, generation)?,
+            None if generation == 0 => return Ok(None),
+            None => return Err(StoreError::Missing { home }),
+        };
+        let window = cfg.detector.window;
+        ThresholdStream::from_compact(cfg.detector.clone(), cfg.spec, cp)
+            .map(Some)
+            .map_err(|cp| StoreError::Corrupt {
+                home,
+                offset: store::FRAME_OVERHEAD + codec::GEOMETRY_AT,
+                detail: format!(
+                    "next start {} with {} open samples is no state of window {window}",
+                    cp.next_start,
+                    cp.open.len()
+                ),
+            })
     }
 
     /// Re-derives `home`'s stream by replaying its `rounds` completed
@@ -379,11 +398,8 @@ impl Shard {
     /// quarantined with the write error. Returns whether the write
     /// landed.
     fn write(&mut self, home: usize, generation: u64) -> bool {
-        let frame = store::encode_frame(
-            home as u64,
-            generation,
-            &codec::encode(&self.resident[&home].compact_checkpoint()),
-        );
+        let frame =
+            store::encode_record(home as u64, generation, self.resident[&home].window_state());
         let mut attempt = 0;
         loop {
             match self.cold.put(home, generation, &frame) {
@@ -414,11 +430,11 @@ impl Shard {
         if self.resident.contains_key(&home) {
             return true;
         }
-        let stream = match self.load(home, round) {
-            Ok(Some(cp)) => {
+        let stream = match self.load(home, round, cfg) {
+            Ok(Some(stream)) => {
                 self.rehydrations += 1;
                 self.cold.remove(home);
-                ThresholdStream::from_compact(cfg.detector.clone(), cfg.spec, &cp)
+                stream
             }
             Ok(None) => ThresholdStream::new(cfg.detector.clone(), cfg.spec).with_fill(cfg.fill),
             Err(err) => return self.settle(home, round, err, cfg, samples_per_home),
@@ -498,7 +514,7 @@ impl Shard {
             if self.resident.contains_key(&home) || self.quarantined.contains_key(&home) {
                 continue;
             }
-            if let Err(err) = self.load(home, generation) {
+            if let Err(err) = self.load(home, generation, cfg) {
                 if self.settle(home, generation, err, cfg, samples_per_home) {
                     rebuilt += 1;
                 } else {
@@ -524,9 +540,7 @@ impl Shard {
         if let Some(s) = self.resident.get(&home) {
             return Ok(Some(s.finalize()));
         }
-        Ok(self.load(home, generation)?.map(|cp| {
-            ThresholdStream::from_compact(cfg.detector.clone(), cfg.spec, &cp).finalize()
-        }))
+        Ok(self.load(home, generation, cfg)?.map(|s| s.finalize()))
     }
 }
 
@@ -658,7 +672,7 @@ impl FleetService {
         let counts = svc.each_shard(true, |shard_homes, shard, cfg| {
             let (mut recovered, mut scheduled) = (0, 0);
             for &home in shard_homes {
-                match shard.load(home, rounds) {
+                match shard.load(home, rounds, cfg) {
                     Ok(record) => recovered += usize::from(record.is_some()),
                     Err(_) if cfg.recovery == RecoveryPolicy::Rebuild => scheduled += 1,
                     Err(err) => shard.quarantine(home, err),

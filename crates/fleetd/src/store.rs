@@ -2,7 +2,7 @@
 //!
 //! The service persists every evicted (and, in durable mode, every
 //! round-synced) home as a **frame**: the compact
-//! [`codec`](crate::codec) checkpoint wrapped in a magic-versioned
+//! [`codec`] checkpoint wrapped in a magic-versioned
 //! header carrying the home index, a **generation counter**, and a
 //! CRC32 over the whole record. The frame layer is what makes storage
 //! defects *detectable*:
@@ -23,6 +23,10 @@
 //! payload  len      codec-encoded WindowCheckpoint ("FDC1", see codec)
 //! ```
 //!
+//! The frame and the [`Manifest`] are read and written through the
+//! [`codec`] module's one byte reader and writer, and fail with its one
+//! [`FormatError`].
+//!
 //! [`CheckpointStore`] abstracts where frames live: [`MemoryStore`]
 //! keeps them in process memory (today's behavior), [`DurableStore`]
 //! keeps one file per home with atomic temp-file+rename writes, and
@@ -30,6 +34,7 @@
 //! [`faults::StoreFaultInjector`] defect model. The service composes
 //! them per shard; `docs/FLEET.md` documents the recovery lifecycle.
 
+use crate::codec::{self, FormatError, Reader, Writer};
 use faults::StoreFaultInjector;
 use std::collections::BTreeMap;
 use std::fs;
@@ -66,160 +71,112 @@ const CRC32_TABLE: [u32; 256] = {
     table
 };
 
-/// CRC32 (IEEE 802.3, reflected, polynomial `0xEDB88320`) of `bytes`.
+/// CRC32 (IEEE 802.3, reflected, polynomial `0xEDB88320`) of the
+/// concatenation of `parts`, in one streaming pass over them.
 ///
 /// Table-driven (the table is a compile-time const): every durable
 /// eviction and sync checksums a frame, so this sits on the admission
 /// hot path. Matches the ubiquitous zlib/`cksum -o 3` definition, so
 /// stored frames can be triaged with standard tooling.
-pub fn crc32(bytes: &[u8]) -> u32 {
+pub fn crc32(parts: &[&[u8]]) -> u32 {
     let mut crc = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        crc = (crc >> 8) ^ CRC32_TABLE[((crc ^ b as u32) & 0xFF) as usize];
+    for part in parts {
+        for &b in *part {
+            crc = (crc >> 8) ^ CRC32_TABLE[((crc ^ b as u32) & 0xFF) as usize];
+        }
     }
     !crc
 }
 
-/// Why a byte buffer failed to parse as a stored frame (or manifest).
-///
-/// Every variant pinpoints the failing byte via [`FrameError::offset`]
-/// so recovery logs can say *where* a record went bad, mirroring the
-/// offset-carrying [`CodecError`](crate::codec::CodecError).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FrameError {
-    /// Buffer ended before the structure it promised; `offset` is where
-    /// the missing bytes were needed.
-    Truncated {
-        /// Byte position at which more input was required.
-        offset: usize,
-    },
-    /// The buffer doesn't start with the expected magic.
-    BadMagic,
-    /// The stored CRC32 doesn't match the record's contents.
-    CrcMismatch {
-        /// CRC stored in the record.
-        stored: u32,
-        /// CRC computed over the record's contents.
-        computed: u32,
-    },
-    /// Bytes remain after a complete record.
-    TrailingBytes {
-        /// Number of surplus bytes.
-        trailing: usize,
-    },
-}
-
-impl FrameError {
-    /// Byte offset the error is anchored at (0 for a bad magic, the CRC
-    /// field for a checksum mismatch, the record end for trailing
-    /// bytes).
-    pub fn offset(&self) -> usize {
-        match *self {
-            FrameError::Truncated { offset } => offset,
-            FrameError::BadMagic => 0,
-            FrameError::CrcMismatch { .. } => 24,
-            FrameError::TrailingBytes { .. } => FRAME_OVERHEAD,
-        }
-    }
-}
-
-impl std::fmt::Display for FrameError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            FrameError::Truncated { offset } => {
-                write!(f, "frame truncated (needed more bytes at offset {offset})")
-            }
-            FrameError::BadMagic => write!(f, "frame magic mismatch at offset 0"),
-            FrameError::CrcMismatch { stored, computed } => {
-                write!(
-                    f,
-                    "frame crc mismatch (stored {stored:#010x}, computed {computed:#010x})"
-                )
-            }
-            FrameError::TrailingBytes { trailing } => {
-                write!(f, "{trailing} trailing bytes after frame payload")
-            }
-        }
-    }
-}
-
-impl std::error::Error for FrameError {}
+/// Offset of the CRC field in a frame.
+const FRAME_CRC_AT: usize = 24;
 
 /// A decoded stored frame: who it belongs to, when it was written, and
-/// the codec payload (not yet decoded — see
+/// the codec payload it borrows (not yet decoded — see
 /// [`validate_frame`] for the full pipeline).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Frame {
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Frame<'a> {
     /// Home index the payload belongs to.
     pub home: u64,
     /// Generation counter: admission rounds completed when written.
     pub generation: u64,
     /// Codec-encoded checkpoint bytes.
-    pub payload: Vec<u8>,
+    pub payload: &'a [u8],
+}
+
+/// Frames the `len` payload bytes `body` writes: the header, the
+/// payload, then the CRC over both, in one buffer.
+fn frame_with(home: u64, generation: u64, len: usize, body: impl FnOnce(&mut Writer)) -> Vec<u8> {
+    let mut w = Writer(Vec::with_capacity(FRAME_OVERHEAD + len));
+    w.bytes(&FRAME_MAGIC)
+        .u64(home)
+        .u64(generation)
+        .u32(len as u32)
+        .u32(0); // the CRC, patched once the payload is in place
+    body(&mut w);
+    let mut out = w.0;
+    debug_assert_eq!(out.len(), FRAME_OVERHEAD + len);
+    let crc = crc32(&[&out[4..FRAME_CRC_AT], &out[FRAME_OVERHEAD..]]);
+    out[FRAME_CRC_AT..FRAME_OVERHEAD].copy_from_slice(&crc.to_le_bytes());
+    out
 }
 
 /// Wraps a codec payload in the CRC-framed, generation-stamped layout.
 pub fn encode_frame(home: u64, generation: u64, payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(FRAME_OVERHEAD + payload.len());
-    out.extend_from_slice(&FRAME_MAGIC);
-    out.extend_from_slice(&home.to_le_bytes());
-    out.extend_from_slice(&generation.to_le_bytes());
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    let crc = crc32(&[&out[4..24], payload].concat());
-    out.extend_from_slice(&crc.to_le_bytes());
-    out.extend_from_slice(payload);
-    out
+    frame_with(home, generation, payload.len(), |w| {
+        w.bytes(payload);
+    })
 }
 
-/// Parses and CRC-validates a stored frame.
+/// Encodes `cp` straight into its frame — `encode_frame` of
+/// [`codec::encode`], without the intermediate
+/// payload buffer.
+pub(crate) fn encode_record(home: u64, generation: u64, cp: &stream::WindowCheckpoint) -> Vec<u8> {
+    frame_with(home, generation, codec::encoded_len(cp), |w| {
+        codec::write(w, cp)
+    })
+}
+
+/// Parses and CRC-validates a stored frame, borrowing its payload.
+///
+/// A frame declares its length, so a short buffer is reported at its
+/// end, and surplus bytes at the payload they follow.
 ///
 /// # Errors
 ///
-/// [`FrameError`] on truncation at any prefix length, wrong magic, any
+/// [`FormatError`] on truncation at any prefix length, wrong magic, any
 /// single-byte corruption (caught by the CRC, the length field, or the
 /// magic), or trailing bytes. Never panics on malformed input.
-pub fn decode_frame(bytes: &[u8]) -> Result<Frame, FrameError> {
-    if bytes.len() < 4 {
-        return Err(FrameError::Truncated {
-            offset: bytes.len(),
-        });
-    }
-    if bytes[..4] != FRAME_MAGIC {
-        return Err(FrameError::BadMagic);
-    }
-    if bytes.len() < FRAME_OVERHEAD {
-        return Err(FrameError::Truncated {
-            offset: bytes.len(),
-        });
-    }
-    let home = u64::from_le_bytes(bytes[4..12].try_into().expect("8 bytes"));
-    let generation = u64::from_le_bytes(bytes[12..20].try_into().expect("8 bytes"));
-    let len = u32::from_le_bytes(bytes[20..24].try_into().expect("4 bytes")) as usize;
-    let stored = u32::from_le_bytes(bytes[24..28].try_into().expect("4 bytes"));
-    let end = FRAME_OVERHEAD
-        .checked_add(len)
-        .ok_or(FrameError::Truncated {
-            offset: bytes.len(),
-        })?;
-    if bytes.len() < end {
-        return Err(FrameError::Truncated {
-            offset: bytes.len(),
-        });
-    }
+pub fn decode_frame(bytes: &[u8]) -> Result<Frame<'_>, FormatError> {
+    let mut r = Reader::new(bytes);
+    r.need(4)?;
+    r.magic(FRAME_MAGIC)?;
+    r.need(FRAME_OVERHEAD)?;
+    let home = r.u64()?;
+    let generation = r.u64()?;
+    let len = r.u32()? as usize;
+    let stored = r.u32()?;
+    let end = FRAME_OVERHEAD.saturating_add(len);
+    r.need(end)?;
     if bytes.len() > end {
-        return Err(FrameError::TrailingBytes {
+        return Err(FormatError::TrailingBytes {
+            offset: FRAME_OVERHEAD,
             trailing: bytes.len() - end,
         });
     }
-    let payload = &bytes[FRAME_OVERHEAD..end];
-    let computed = crc32(&[&bytes[4..24], payload].concat());
+    let payload = r.take(len)?;
+    let computed = crc32(&[&bytes[4..FRAME_CRC_AT], payload]);
     if computed != stored {
-        return Err(FrameError::CrcMismatch { stored, computed });
+        return Err(FormatError::CrcMismatch {
+            offset: FRAME_CRC_AT,
+            stored,
+            computed,
+        });
     }
     Ok(Frame {
         home,
         generation,
-        payload: payload.to_vec(),
+        payload,
     })
 }
 
@@ -569,7 +526,7 @@ pub fn validate_frame(
             expected: expected_generation,
         });
     }
-    crate::codec::decode(&frame.payload).map_err(|e| StoreError::Corrupt {
+    codec::decode(frame.payload).map_err(|e| StoreError::Corrupt {
         home,
         offset: FRAME_OVERHEAD + e.offset(),
         detail: format!("payload: {e}"),
@@ -602,16 +559,17 @@ pub struct Manifest {
 impl Manifest {
     /// Serializes the manifest (magic + fields + CRC32).
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(&MANIFEST_MAGIC);
+        let mut w = Writer(Vec::with_capacity(44 + 8 * self.shard_samples.len()));
+        w.bytes(&MANIFEST_MAGIC);
         for v in [self.homes, self.shards, self.rounds, self.root_seed] {
-            out.extend_from_slice(&v.to_le_bytes());
+            w.u64(v);
         }
-        out.extend_from_slice(&(self.shard_samples.len() as u32).to_le_bytes());
+        w.u32(self.shard_samples.len() as u32);
         for &s in &self.shard_samples {
-            out.extend_from_slice(&s.to_le_bytes());
+            w.u64(s);
         }
-        let crc = crc32(&out[4..]);
+        let mut out = w.0;
+        let crc = crc32(&[&out[4..]]);
         out.extend_from_slice(&crc.to_le_bytes());
         out
     }
@@ -620,52 +578,28 @@ impl Manifest {
     ///
     /// # Errors
     ///
-    /// [`FrameError`] on truncation, wrong magic, CRC mismatch, or
+    /// [`FormatError`] on truncation, wrong magic, CRC mismatch, or
     /// trailing bytes; never panics.
-    pub fn decode(bytes: &[u8]) -> Result<Manifest, FrameError> {
-        if bytes.len() < 4 {
-            return Err(FrameError::Truncated {
-                offset: bytes.len(),
-            });
-        }
-        if bytes[..4] != MANIFEST_MAGIC {
-            return Err(FrameError::BadMagic);
-        }
-        if bytes.len() < 40 {
-            return Err(FrameError::Truncated {
-                offset: bytes.len(),
-            });
-        }
-        let word = |i: usize| {
-            u64::from_le_bytes(bytes[4 + 8 * i..12 + 8 * i].try_into().expect("8 bytes"))
-        };
-        let (homes, shards, rounds, root_seed) = (word(0), word(1), word(2), word(3));
-        let n = u32::from_le_bytes(bytes[36..40].try_into().expect("4 bytes")) as usize;
-        let end = 40usize
-            .checked_add(n.checked_mul(8).ok_or(FrameError::Truncated {
-                offset: bytes.len(),
-            })?)
-            .ok_or(FrameError::Truncated {
-                offset: bytes.len(),
-            })?;
-        if bytes.len() < end + 4 {
-            return Err(FrameError::Truncated {
-                offset: bytes.len(),
-            });
-        }
-        if bytes.len() > end + 4 {
-            return Err(FrameError::TrailingBytes {
-                trailing: bytes.len() - end - 4,
-            });
-        }
-        let stored = u32::from_le_bytes(bytes[end..end + 4].try_into().expect("4 bytes"));
-        let computed = crc32(&bytes[4..end]);
+    pub fn decode(bytes: &[u8]) -> Result<Manifest, FormatError> {
+        let mut r = Reader::new(bytes);
+        r.need(4)?;
+        r.magic(MANIFEST_MAGIC)?;
+        r.need(40)?;
+        let (homes, shards, rounds, root_seed) = (r.u64()?, r.u64()?, r.u64()?, r.u64()?);
+        let n = r.u32()? as usize;
+        r.need(n.saturating_mul(8).saturating_add(44))?;
+        let shard_samples = (0..n).map(|_| r.u64()).collect::<Result<Vec<_>, _>>()?;
+        let crc_at = 40 + 8 * n;
+        let stored = r.u32()?;
+        r.finish()?;
+        let computed = crc32(&[&bytes[4..crc_at]]);
         if stored != computed {
-            return Err(FrameError::CrcMismatch { stored, computed });
+            return Err(FormatError::CrcMismatch {
+                offset: crc_at,
+                stored,
+                computed,
+            });
         }
-        let shard_samples = (0..n)
-            .map(|i| u64::from_le_bytes(bytes[40 + 8 * i..48 + 8 * i].try_into().expect("8 bytes")))
-            .collect();
         Ok(Manifest {
             homes,
             shards,
@@ -732,6 +666,33 @@ mod tests {
         assert_eq!(frame.payload, p);
         let cp = validate_frame(&bytes, 17, 3).unwrap();
         assert_eq!(crate::codec::encode(&cp), p);
+    }
+
+    #[test]
+    fn record_encodes_in_one_pass_to_the_framed_payload() {
+        let cp = crate::codec::decode(&payload()).unwrap();
+        assert_eq!(encode_record(17, 3, &cp), encode_frame(17, 3, &payload()));
+    }
+
+    #[test]
+    fn frame_errors_keep_their_offsets() {
+        let bytes = encode_frame(5, 9, &payload());
+        // A frame declares its length: a short buffer fails at its end.
+        for cut in [2, 4, 20, FRAME_OVERHEAD, bytes.len() - 1] {
+            assert_eq!(
+                decode_frame(&bytes[..cut]),
+                Err(FormatError::Truncated { offset: cut })
+            );
+        }
+        let mut flipped = bytes.clone();
+        flipped[FRAME_OVERHEAD + 3] ^= 1;
+        assert_eq!(decode_frame(&flipped).unwrap_err().offset(), 24);
+        let mut long = bytes.clone();
+        long.push(0);
+        assert_eq!(decode_frame(&long).unwrap_err().offset(), FRAME_OVERHEAD);
+        let mut magic = bytes.clone();
+        magic[0] = b'X';
+        assert_eq!(decode_frame(&magic), Err(FormatError::BadMagic));
     }
 
     #[test]

@@ -39,15 +39,6 @@ fn serves_fleet_metrics_over_http() {
     let again = MetricsServer::scrape(server.addr()).expect("second scrape");
     assert!(again.contains("fleetd_rounds 2\n"));
 
-    // The file dump renders the same registry state.
-    let dir = std::env::temp_dir().join("fleetd-prom-test");
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("metrics.prom");
-    fleetd::write_prometheus(&path).unwrap();
-    let text = std::fs::read_to_string(&path).unwrap();
-    assert!(text.contains("fleetd_rounds 2\n"));
-    std::fs::remove_file(&path).ok();
-
     server.shutdown();
     obs::disable();
     obs::reset();

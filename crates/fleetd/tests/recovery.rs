@@ -123,7 +123,7 @@ fn torn_round_future_generation_frames_are_rebuilt() {
         let frame = store::decode_frame(&bytes).expect("frame is valid");
         std::fs::write(
             &path,
-            store::encode_frame(home as u64, CRASH_AT + 1, &frame.payload),
+            store::encode_frame(home as u64, CRASH_AT + 1, frame.payload),
         )
         .unwrap();
     }
@@ -172,10 +172,11 @@ fn offline_corruption_quarantines_exactly_the_corrupted_homes() {
     let at = flip_bytes.len() - 3;
     flip_bytes[at] ^= 0x40;
     std::fs::write(path(flipped), &flip_bytes).unwrap();
-    let stale_frame = store::decode_frame(&std::fs::read(path(stale)).unwrap()).unwrap();
+    let stale_bytes = std::fs::read(path(stale)).unwrap();
+    let stale_frame = store::decode_frame(&stale_bytes).unwrap();
     std::fs::write(
         path(stale),
-        store::encode_frame(stale as u64, ROUNDS - 1, &stale_frame.payload),
+        store::encode_frame(stale as u64, ROUNDS - 1, stale_frame.payload),
     )
     .unwrap();
 
@@ -357,4 +358,79 @@ fn recover_rejects_mismatched_or_missing_fleets() {
     );
 
     let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn records_of_another_detector_window_are_rejected_or_resumed_exactly() {
+    // (samples per round, window at recovery). Written at the default
+    // window of 15: 2 × 7 samples leave one open window of 14, 2 × 10
+    // leave one closed window and an open one of 5.
+    for (samples, window, fits) in [
+        (7, 5, false),
+        (10, 5, false),
+        (10, 20, false),
+        (7, 20, true),
+    ] {
+        let homes = 40;
+        let root = temp_root(&format!("window-{samples}-{window}"));
+        let written = FleetdConfig {
+            shards: 4,
+            ..durable_cfg(&root)
+        };
+        {
+            let mut svc = FleetService::new(written.clone(), homes);
+            for round in 0..2 {
+                svc.admit_round(round, samples);
+            }
+        }
+        let mut detector = written.detector.clone();
+        detector.window = window;
+        let reopened = FleetdConfig {
+            detector,
+            ..written.clone()
+        };
+        let mut fresh = FleetService::new(
+            FleetdConfig {
+                store: StoreConfig::Memory,
+                ..reopened.clone()
+            },
+            homes,
+        );
+        for round in 0..2 {
+            fresh.admit_round(round, samples);
+        }
+        let case = format!("{samples} samples/round, window {window}");
+
+        let (quarantined, report) = FleetService::recover(FleetdConfig {
+            recovery: RecoveryPolicy::Quarantine,
+            ..reopened.clone()
+        })
+        .expect("manifest is intact");
+        if fits {
+            assert_eq!(report.recovered, homes, "{case}");
+            assert_eq!(quarantined.digest(), fresh.digest(), "{case}");
+            let _ = std::fs::remove_dir_all(&root);
+            continue;
+        }
+        assert_eq!(report.recovered, 0, "{case}");
+        assert_eq!(report.quarantined.len(), homes, "{case}");
+        assert!(
+            report
+                .quarantined
+                .iter()
+                .all(|(_, e)| matches!(e, store::StoreError::Corrupt { .. })),
+            "{case}: {:?}",
+            report.quarantined[0]
+        );
+        assert!(quarantined.finalize_home(0).is_none(), "{case}");
+        drop(quarantined);
+
+        let (mut rebuilt, report) = FleetService::recover(reopened).expect("manifest is intact");
+        assert_eq!(report.recovered, 0, "{case}");
+        assert_eq!(report.scheduled_rebuilds, homes, "{case}");
+        assert!(rebuilt.finalize_home(0).is_none(), "{case}");
+        assert_eq!(rebuilt.scrub(samples), (homes, 0), "{case}");
+        assert_eq!(rebuilt.digest(), fresh.digest(), "{case}");
+        let _ = std::fs::remove_dir_all(&root);
+    }
 }

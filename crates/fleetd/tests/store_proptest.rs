@@ -4,7 +4,8 @@
 //! detected by the CRC32 frame, never silently round-tripping to a
 //! different record.
 
-use fleetd::store::{self, FrameError, FRAME_OVERHEAD};
+use fleetd::codec::FormatError;
+use fleetd::store::{self, FRAME_OVERHEAD};
 use proptest::prelude::*;
 
 proptest! {
@@ -73,7 +74,7 @@ proptest! {
         let junk_len = junk.len();
         prop_assert_eq!(
             store::decode_frame(&bytes).unwrap_err(),
-            FrameError::TrailingBytes { trailing: junk_len }
+            FormatError::TrailingBytes { offset: FRAME_OVERHEAD, trailing: junk_len }
         );
         prop_assert!(store::decode_frame(&bytes[..end]).is_ok());
     }

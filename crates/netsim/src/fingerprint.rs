@@ -3,6 +3,7 @@
 
 use crate::device::DeviceType;
 use crate::features::{FeatureVector, StrongFeatureVector, N_FEATURES, N_STRONG_FEATURES};
+use crate::flow::FlowRecord;
 use crate::generate::NetworkTrace;
 use crate::shaping::{ShapingPolicy, TUNNEL_DEVICE_ID};
 use serde::{Deserialize, Serialize};
@@ -191,26 +192,44 @@ impl DeviceClassifier for Knn {
 /// horizon into `windows` observation windows (each window yields one
 /// feature vector per device — more windows, more examples).
 pub fn labelled_examples(trace: &NetworkTrace, windows: usize) -> Vec<(DeviceType, FeatureVector)> {
-    assert!(windows > 0, "need at least one window");
     let _span = obs::span("netsim.fingerprint.features");
+    let out = windowed_examples(
+        trace,
+        windows,
+        |id| trace.flows_of(id),
+        FeatureVector::from_flows,
+    );
+    obs::counter_add("netsim.fingerprint.examples", out.len() as u64);
+    out
+}
+
+/// The observation-window loop behind [`labelled_examples`] and
+/// [`strong_examples`]: for each device, `flows_of(device_id)` picks the
+/// flows attributed to it, one pass buckets them into `windows` equal
+/// windows (trace order kept within a window), and `featurize` turns each
+/// window's flows into at most one example.
+fn windowed_examples<F>(
+    trace: &NetworkTrace,
+    windows: usize,
+    flows_of: impl Fn(u32) -> Vec<FlowRecord>,
+    featurize: impl Fn(&[FlowRecord], u64) -> Option<F>,
+) -> Vec<(DeviceType, F)> {
+    assert!(windows > 0, "need at least one window");
     let window_secs = trace.horizon_secs / windows as u64;
     let mut out = Vec::new();
     for dev in &trace.devices {
-        let flows = trace.flows_of(dev.device_id);
-        for w in 0..windows {
-            let lo = w as u64 * window_secs;
-            let hi = lo + window_secs;
-            let in_window: Vec<_> = flows
-                .iter()
-                .copied()
-                .filter(|f| f.start_secs >= lo && f.start_secs < hi)
-                .collect();
-            if let Some(fv) = FeatureVector::from_flows(&in_window, window_secs) {
-                out.push((dev.device_type, fv));
+        let mut buckets = vec![Vec::new(); windows];
+        for f in flows_of(dev.device_id) {
+            // Zero-length windows hold nothing, nor does any window hold
+            // a flow past the last whole one.
+            let w = f.start_secs.checked_div(window_secs);
+            if let Some(bucket) = w.and_then(|w| buckets.get_mut(usize::try_from(w).ok()?)) {
+                bucket.push(f);
             }
         }
+        let examples = buckets.iter().filter_map(|b| featurize(b, window_secs));
+        out.extend(examples.map(|fv| (dev.device_type, fv)));
     }
-    obs::counter_add("netsim.fingerprint.examples", out.len() as u64);
     out
 }
 
@@ -247,28 +266,16 @@ pub fn strong_examples(
     trace: &NetworkTrace,
     windows: usize,
 ) -> Vec<(DeviceType, StrongFeatureVector)> {
-    assert!(windows > 0, "need at least one window");
     let _span = obs::span("netsim.fingerprint.strong_features");
-    let window_secs = trace.horizon_secs / windows as u64;
-    let mut out = Vec::new();
-    for dev in &trace.devices {
-        let mut flows = trace.flows_of(dev.device_id);
-        if flows.is_empty() {
-            flows = trace.flows_of(TUNNEL_DEVICE_ID);
-        }
-        for w in 0..windows {
-            let lo = w as u64 * window_secs;
-            let hi = lo + window_secs;
-            let in_window: Vec<_> = flows
-                .iter()
-                .copied()
-                .filter(|f| f.start_secs >= lo && f.start_secs < hi)
-                .collect();
-            if let Some(fv) = StrongFeatureVector::from_flows(&in_window, window_secs) {
-                out.push((dev.device_type, fv));
-            }
-        }
-    }
+    let out = windowed_examples(
+        trace,
+        windows,
+        |id| match trace.flows_of(id) {
+            flows if flows.is_empty() => trace.flows_of(TUNNEL_DEVICE_ID),
+            flows => flows,
+        },
+        StrongFeatureVector::from_flows,
+    );
     obs::counter_add("netsim.fingerprint.strong_examples", out.len() as u64);
     out
 }
@@ -527,6 +534,69 @@ mod tests {
         assert!(acc_knn > 0.8, "knn accuracy {acc_knn}");
         // Both are far above the 10-class chance level.
         assert!(acc > 0.3 && acc_knn > 0.3);
+    }
+
+    #[test]
+    fn one_pass_windowing_matches_per_window_filtering() {
+        // The per-window filter both extractors used to run.
+        fn reference<F>(
+            trace: &NetworkTrace,
+            windows: usize,
+            flows_of: impl Fn(u32) -> Vec<FlowRecord>,
+            featurize: impl Fn(&[FlowRecord], u64) -> Option<F>,
+        ) -> Vec<(DeviceType, F)> {
+            let window_secs = trace.horizon_secs / windows as u64;
+            let mut out = Vec::new();
+            for dev in &trace.devices {
+                let flows = flows_of(dev.device_id);
+                for w in 0..windows as u64 {
+                    let (lo, hi) = (w * window_secs, (w + 1) * window_secs);
+                    let in_window: Vec<_> = flows
+                        .iter()
+                        .copied()
+                        .filter(|f| f.start_secs >= lo && f.start_secs < hi)
+                        .collect();
+                    if let Some(fv) = featurize(&in_window, window_secs) {
+                        out.push((dev.device_type, fv));
+                    }
+                }
+            }
+            out
+        }
+        let mut trace = simulate_home_network(&inventory(), &occupancy(2), 2, 11);
+        let ids: Vec<u32> = trace.devices.iter().map(|d| d.device_id).collect();
+        let full = crate::shaping::policies()
+            .into_iter()
+            .find(|p| p.key == "full")
+            .unwrap()
+            .policy;
+        let mut tunnel = trace.clone();
+        tunnel.flows = full.shape(&trace.flows, &ids, trace.horizon_secs, 3).flows;
+        for windows in [1, 5, 7, 48] {
+            assert_eq!(
+                labelled_examples(&trace, windows),
+                reference(
+                    &trace,
+                    windows,
+                    |id| trace.flows_of(id),
+                    FeatureVector::from_flows
+                )
+            );
+            for t in [&trace, &tunnel] {
+                let attributed = |id| match t.flows_of(id) {
+                    flows if flows.is_empty() => t.flows_of(TUNNEL_DEVICE_ID),
+                    flows => flows,
+                };
+                assert_eq!(
+                    strong_examples(t, windows),
+                    reference(t, windows, attributed, StrongFeatureVector::from_flows)
+                );
+            }
+        }
+        // Windows shorter than a second hold nothing.
+        trace.horizon_secs = 6;
+        assert!(labelled_examples(&trace, 7).is_empty());
+        assert!(strong_examples(&trace, 7).is_empty());
     }
 
     #[test]

@@ -8,13 +8,11 @@
 //! the resolved samples and replay the batch decoder at finalize; that is
 //! the only path that stays byte-identical.
 
-use crate::chunk::{Sample, StreamFill, StreamSpec};
+use crate::chunk::{FillCheckpoint, Sample, StreamFill, StreamSpec};
 use crate::ingest::{record_power_chunk, SampleBuf};
 use crate::{FeedReport, StreamState};
 use nilm::{DeviceEstimate, Disaggregator, Fhmm, FhmmFilter, PowerPlay};
 use timeseries::{PipelineError, PowerTrace, TraceError};
-
-use crate::chunk::FillState;
 
 /// Streaming FHMM disaggregation over a borrowed model.
 #[derive(Debug, Clone)]
@@ -28,7 +26,7 @@ pub struct FhmmStream<'a> {
 enum FhmmMode<'a> {
     /// Exact joint Viterbi advanced per sample.
     Exact {
-        fill: FillState,
+        fill: FillCheckpoint,
         filter: FhmmFilter<'a>,
         /// Index of the first non-finite resolved sample, which the batch
         /// path rejects when it builds the trace.
@@ -46,7 +44,7 @@ impl<'a> FhmmStream<'a> {
             spec,
             mode: match fhmm.filter() {
                 Some(filter) => FhmmMode::Exact {
-                    fill: FillState::new(None),
+                    fill: FillCheckpoint::new(None),
                     filter,
                     non_finite_at: None,
                 },
@@ -65,7 +63,7 @@ impl<'a> FhmmStream<'a> {
         assert!(self.items() == 0, "set the fill policy before feeding");
         self.mode = match self.fhmm.filter() {
             Some(filter) => FhmmMode::Exact {
-                fill: FillState::new(Some(fill)),
+                fill: FillCheckpoint::new(Some(fill)),
                 filter,
                 non_finite_at: None,
             },

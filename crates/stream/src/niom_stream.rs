@@ -53,36 +53,44 @@ macro_rules! niom_stream {
                 self
             }
 
-            /// Snapshots the stream's mutable ingestion state as a
-            /// [`WindowCheckpoint`](crate::WindowCheckpoint) — everything
-            /// beyond the (immutable) detector and [`StreamSpec`], in a
-            /// serialization-friendly shape. The eviction target of the
-            /// resident fleet service (`crates/fleetd`).
-            pub fn compact_checkpoint(&self) -> crate::WindowCheckpoint {
-                self.ingest.to_compact()
+            /// The stream's mutable ingestion state — everything beyond
+            /// the (immutable) detector and [`StreamSpec`] — borrowed as
+            /// the [`WindowCheckpoint`](crate::WindowCheckpoint) it lives
+            /// in. The resident fleet service (`crates/fleetd`) encodes
+            /// evicted homes straight from it.
+            pub fn window_state(&self) -> &crate::WindowCheckpoint {
+                self.ingest.state()
             }
 
-            /// Rebuilds a stream from a compact checkpoint taken by
+            /// A copy of [`window_state`](Self::window_state).
+            pub fn compact_checkpoint(&self) -> crate::WindowCheckpoint {
+                self.ingest.state().clone()
+            }
+
+            /// Rebuilds a stream around a checkpoint taken by
             /// [`compact_checkpoint`](Self::compact_checkpoint) on a
             /// stream with the same detector configuration. Feeding the
             /// remaining samples yields byte-identical output to the
             /// never-checkpointed stream.
             ///
-            /// # Panics
+            /// # Errors
             ///
-            /// Panics if the detector's window is zero or the
-            /// checkpoint's open window doesn't fit it.
+            /// Hands the checkpoint back if the detector's window can
+            /// never reach it: a zero window, an open window already
+            /// full, or closed windows that do not tile the trace up to
+            /// the open one (a checkpoint of another window, once one of
+            /// its windows has closed).
             pub fn from_compact(
                 detector: $detector,
                 spec: StreamSpec,
-                cp: &crate::WindowCheckpoint,
-            ) -> $name {
-                let window = detector.window;
-                $name {
+                cp: crate::WindowCheckpoint,
+            ) -> Result<$name, crate::WindowCheckpoint> {
+                let ingest = WindowBuf::from_state(detector.window, cp)?;
+                Ok($name {
                     detector,
                     spec,
-                    ingest: WindowBuf::from_compact(window, cp),
-                }
+                    ingest,
+                })
             }
         }
 
@@ -215,7 +223,7 @@ mod tests {
         let full = s.finalize();
 
         let mut resumed =
-            ThresholdStream::from_compact(detector, StreamSpec::of_trace(&trace), &cp);
+            ThresholdStream::from_compact(detector, StreamSpec::of_trace(&trace), cp).unwrap();
         assert_eq!(resumed.items(), 700, "restore must land mid-trace");
         resumed.feed(&samples[700..]);
         assert_eq!(resumed.finalize(), full);
@@ -247,7 +255,7 @@ mod tests {
             let mut head = ThresholdStream::new(detector.clone(), spec).with_fill(StreamFill::Hold);
             head.feed(&samples[..split]);
             let cp = head.compact_checkpoint();
-            let mut resumed = ThresholdStream::from_compact(detector.clone(), spec, &cp);
+            let mut resumed = ThresholdStream::from_compact(detector.clone(), spec, cp).unwrap();
             resumed.feed(&samples[split..]);
             assert_eq!(resumed.finalize(), whole.finalize(), "split {split}");
         }
